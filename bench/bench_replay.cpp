@@ -3,7 +3,7 @@
 // memory plan vs the pooled allocator's high-water mark.
 //
 // The paper's Fig. 8 shows the training step settling into a constant
-// 947-kernel schedule; replay exploits that by capturing the step once and
+// kernel schedule; replay exploits that by capturing the step once and
 // re-running it as a flat closure program (the CPU analogue of a CUDA
 // graph).  The kernels' arithmetic loops are byte-for-byte the same on both
 // paths, so the delta between an eager and a replayed step is pure

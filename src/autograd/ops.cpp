@@ -363,9 +363,11 @@ Var add(const Var& a, const Var& b) {
   Tensor out = binary_kernel("add", fuse::EOp::kAdd, a.value(), b.value(),
                              [](float x, float y) { return x + y; });
   Shape sa = a.shape(), sb = b.shape();
+  const bool ra = a.requires_grad(), rb = b.requires_grad();
   return make_op_node("add", std::move(out), {a, b},
-                      [sa, sb](const Var& g) -> std::vector<Var> {
-                        return {sum_to(g, sa), sum_to(g, sb)};
+                      [sa, sb, ra, rb](const Var& g) -> std::vector<Var> {
+                        return {ra ? sum_to(g, sa) : Var(),
+                                rb ? sum_to(g, sb) : Var()};
                       });
 }
 
@@ -373,9 +375,11 @@ Var sub(const Var& a, const Var& b) {
   Tensor out = binary_kernel("sub", fuse::EOp::kSub, a.value(), b.value(),
                              [](float x, float y) { return x - y; });
   Shape sa = a.shape(), sb = b.shape();
+  const bool ra = a.requires_grad(), rb = b.requires_grad();
   return make_op_node("sub", std::move(out), {a, b},
-                      [sa, sb](const Var& g) -> std::vector<Var> {
-                        return {sum_to(g, sa), sum_to(neg(g), sb)};
+                      [sa, sb, ra, rb](const Var& g) -> std::vector<Var> {
+                        return {ra ? sum_to(g, sa) : Var(),
+                                rb ? sum_to(neg(g), sb) : Var()};
                       });
 }
 
@@ -385,7 +389,10 @@ Var mul(const Var& a, const Var& b) {
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("mul", std::move(out), {a, b},
                       [a, b, sa, sb](const Var& g) -> std::vector<Var> {
-                        return {sum_to(mul(g, b), sa), sum_to(mul(g, a), sb)};
+                        return {a.requires_grad() ? sum_to(mul(g, b), sa)
+                                                  : Var(),
+                                b.requires_grad() ? sum_to(mul(g, a), sb)
+                                                  : Var()};
                       });
 }
 
@@ -396,9 +403,11 @@ Var div(const Var& a, const Var& b) {
   Var result = make_op_node(
       "div", std::move(out), {a, b},
       [a, b, sa, sb](const Var& g) -> std::vector<Var> {
-        Var ga = sum_to(div(g, b), sa);
+        Var ga = a.requires_grad() ? sum_to(div(g, b), sa) : Var();
         // d/db (a/b) = -a/b^2 = -(a/b)/b
-        Var gb = sum_to(neg(div(div(mul(g, a), b), b)), sb);
+        Var gb = b.requires_grad()
+                     ? sum_to(neg(div(div(mul(g, a), b), b)), sb)
+                     : Var();
         return {ga, gb};
       });
   return result;
@@ -636,6 +645,27 @@ Tensor matmul_kernel(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+/// A^T * G for A [m,k], G [m,n]: one kernel, no transposed copy of A.
+Tensor matmul_tn_kernel(const Tensor& a, const Tensor& g) {
+  perf::count_kernel("matmul_tn");
+  FASTCHG_CHECK(a.dim() == 2 && g.dim() == 2 && a.size(0) == g.size(0),
+                "matmul_tn: " << shape_str(a.shape()) << "^T @ "
+                              << shape_str(g.shape()));
+  const index_t m = a.size(0), k = a.size(1), n = g.size(1);
+  Tensor out = Tensor::empty({k, n});
+  sops::gemm::matmul_tn(m, k, n, a.data(), g.data(), out.data());
+  if (auto* rec = replay::Recorder::active()) {
+    const int sa = rec->note_input(a);
+    const int sg = rec->note_input(g);
+    const int so = rec->note_output(out);
+    rec->push("matmul_tn", /*counted=*/true, {sa, sg}, so,
+              [m, k, n, sa, sg, so](float* const* S) {
+                sops::gemm::matmul_tn(m, k, n, S[sa], S[sg], S[so]);
+              });
+  }
+  return out;
+}
+
 void transpose_loop(index_t m, index_t n, const float* px, float* po) {
   for (index_t i = 0; i < m; ++i)
     for (index_t j = 0; j < n; ++j) po[j * m + i] = px[i * n + j];
@@ -661,11 +691,20 @@ Tensor transpose_kernel(const Tensor& x) {
 
 Var matmul(const Var& a, const Var& b) {
   Tensor out = matmul_kernel(a.value(), b.value());
-  return make_op_node("matmul", std::move(out), {a, b},
-                      [a, b](const Var& g) -> std::vector<Var> {
-                        return {matmul(g, transpose2d(b)),
-                                matmul(transpose2d(a), g)};
-                      });
+  return make_op_node(
+      "matmul", std::move(out), {a, b},
+      [a, b](const Var& g) -> std::vector<Var> {
+        Var ga = a.requires_grad() ? matmul(g, transpose2d(b)) : Var();
+        Var gb;
+        if (b.requires_grad()) {
+          // First order: A^T * G reads A in place (A is the long operand --
+          // activations -- while B is typically a small weight).
+          gb = grad_enabled()
+                   ? matmul(transpose2d(a), g)
+                   : constant(matmul_tn_kernel(a.value(), g.value()));
+        }
+        return {ga, gb};
+      });
 }
 
 Var transpose2d(const Var& x) {

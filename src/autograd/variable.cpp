@@ -1,5 +1,6 @@
 #include "autograd/variable.hpp"
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -151,6 +152,12 @@ std::unordered_map<Node*, Var> propagate(const Var& root, Var seed,
   }
 
   std::vector<Node*> order = topo_order(root.node().get());
+  // A first-order backward records no graph of its own: every closure runs
+  // in no-grad mode, so the ops it calls retain nothing, and closures with a
+  // first-order kernel (matmul, the fused gated activation) choose it.
+  // create_graph leaves grad mode as the caller set it.
+  std::optional<NoGradGuard> no_graph;
+  if (!create_graph) no_graph.emplace();
   // Post-order puts producers first; walk consumers-to-producers.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* n = *it;
@@ -170,7 +177,8 @@ std::unordered_map<Node*, Var> propagate(const Var& root, Var seed,
                     "op " << n->op << ": grad shape "
                           << shape_str(gins[i].shape()) << " vs input shape "
                           << shape_str(in->value.shape()));
-      Var g = create_graph ? gins[i] : gins[i].detach();
+      Var g = create_graph || !gins[i].requires_grad() ? gins[i]
+                                                      : gins[i].detach();
       auto [slot, inserted] = grads.try_emplace(in, g);
       if (!inserted) slot->second = ops::add(slot->second, g);
       if (inserted && leaves != nullptr && !in->backward_fn) {

@@ -8,6 +8,14 @@
 // grad(..., /*create_graph=*/true) produces gradient Variables that carry
 // their own graph and can be differentiated again.
 //
+// Backward closures run without recording a graph unless create_graph is
+// set: a first-order backward()/grad() runs every closure under
+// NoGradGuard, so the ops it calls retain no inputs or closures, and ops
+// with a dedicated first-order kernel (matmul's transpose-free weight
+// gradient, the fused gated activation's backward) choose it when
+// grad_enabled() is false.  The op-composed backward runs only for
+// create_graph=true.
+//
 // Ownership: a Var is a cheap shared handle to a Node.  A Node keeps its
 // input Vars alive only while it requires grad, so releasing the loss Var
 // after backward() frees the whole graph (and the memory tracker observes

@@ -153,6 +153,19 @@ void Recorder::tap(const Tensor& t) {
 
 void Recorder::push(const char* op, bool counted, const std::vector<int>& ins,
                     int out, StepFn fn, fuse::StepDesc desc) {
+  std::vector<int> outs;
+  if (out >= 0) outs.push_back(out);
+  push_step(op, counted, ins, std::move(outs), std::move(fn), std::move(desc));
+}
+
+void Recorder::push(const char* op, bool counted, const std::vector<int>& ins,
+                    const std::vector<int>& outs, StepFn fn) {
+  push_step(op, counted, ins, outs, std::move(fn), fuse::StepDesc{});
+}
+
+void Recorder::push_step(const char* op, bool counted,
+                         const std::vector<int>& ins, std::vector<int> outs,
+                         StepFn fn, fuse::StepDesc desc) {
   // Fingerprint mixes the *raw* tape (pre-fusion), so two captures of the
   // same seeded step match whatever FASTCHG_FUSE says.
   fingerprint_ ^= 0x9e3779b97f4a7c15ull;
@@ -162,13 +175,13 @@ void Recorder::push(const char* op, bool counted, const std::vector<int>& ins,
   kb.mix(counted ? 1u : 2u);
   kb.mix(static_cast<std::uint64_t>(ins.size()));
   for (int s : ins) kb.mix(static_cast<std::uint64_t>(s));
-  kb.mix(static_cast<std::uint64_t>(out) + 7u);
+  for (int o : outs) kb.mix(static_cast<std::uint64_t>(o) + 7u);
   fingerprint_ = kb.h;
   fuse::TapeStep step;
   step.op = op;
   step.counted = counted;
   step.ins = ins;
-  if (out >= 0) step.outs.push_back(out);
+  step.outs = std::move(outs);
   step.desc = std::move(desc);
   step.fn = std::move(fn);
   tape_.push_back(std::move(step));
@@ -408,6 +421,7 @@ ProgramCache::Lease ProgramCache::acquire(std::uint64_t key) {
     e.capturing = true;
     lease.action = Action::kCapture;
   }
+  relist_locked(key, e);
   return lease;
 }
 
@@ -424,13 +438,16 @@ void ProgramCache::store(std::uint64_t key,
   it->second.program = std::move(program);
   ++stats_.captures;
   perf::track_replay_capture();
+  relist_locked(key, it->second);
   evict_locked();
 }
 
 void ProgramCache::abort_capture(std::uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
-  if (it != entries_.end()) it->second.capturing = false;
+  if (it == entries_.end()) return;
+  it->second.capturing = false;
+  relist_locked(key, it->second);
 }
 
 void ProgramCache::invalidate(std::uint64_t key) {
@@ -444,6 +461,7 @@ void ProgramCache::invalidate(std::uint64_t key) {
   it->second.program.reset();
   it->second.sightings = 1;
   it->second.capturing = false;
+  relist_locked(key, it->second);
 }
 
 ProgramCache::Stats ProgramCache::stats() const {
@@ -469,9 +487,34 @@ std::size_t ProgramCache::size() const {
   return n;
 }
 
+std::size_t ProgramCache::tracked_keys() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
+}
+
+void ProgramCache::relist_locked(std::uint64_t key, Entry& e) {
+  const bool sighting_only = !e.program && !e.capturing;
+  if (e.listed) {
+    if (sighting_only) {
+      seen_.splice(seen_.begin(), seen_, e.seen_pos);
+      return;
+    }
+    seen_.erase(e.seen_pos);
+    e.listed = false;
+    return;
+  }
+  if (!sighting_only) return;
+  e.seen_pos = seen_.insert(seen_.begin(), key);
+  e.listed = true;
+  while (seen_.size() > kSightingCapacity) {
+    entries_.erase(seen_.back());
+    seen_.pop_back();
+  }
+}
+
 void ProgramCache::evict_locked() {
-  // LRU over entries that actually hold programs; sighting-only entries
-  // are bookkeeping and stay (they are two words each).
+  // LRU over entries that actually hold programs (sighting-only entries
+  // have their own LRU, relist_locked).
   while (true) {
     std::size_t with_prog = 0;
     std::uint64_t oldest_used = 0;

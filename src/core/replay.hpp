@@ -3,7 +3,7 @@
 // control-block churn, and no per-op dispatch.
 //
 // The paper's Fig. 8 shows the trained step settling into a constant
-// 947-kernel schedule; pooling (PR 5) already exploits that regularity at
+// kernel schedule; pooling (PR 5) already exploits that regularity at
 // the allocator.  This layer exploits it at the op stream itself, the way a
 // CUDA graph (or tt-metal's program cache) does:
 //
@@ -51,6 +51,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -234,6 +235,10 @@ class Recorder {
     push(op, counted, std::vector<int>(ins), out, std::move(fn),
          std::move(desc));
   }
+  /// Append an opaque step that writes several slots (a kernel with more
+  /// than one output, such as a fused backward).
+  void push(const char* op, bool counted, const std::vector<int>& ins,
+            const std::vector<int>& outs, StepFn fn);
   /// Leaf-gradient accumulation hook (ag::backward): dst += src.
   void note_accumulate(const Tensor& dst, const Tensor& src);
 
@@ -246,6 +251,8 @@ class Recorder {
   };
 
   int slot_for(const Tensor& t, bool as_output);
+  void push_step(const char* op, bool counted, const std::vector<int>& ins,
+                 std::vector<int> outs, StepFn fn, fuse::StepDesc desc);
 
   std::unordered_map<const float*, int> by_ptr_;
   std::vector<SlotInfo> slots_;
@@ -277,6 +284,12 @@ class RecorderScope {
 };
 
 /// Per-site program cache with LRU eviction and warm-up sightings.
+///
+/// Both kinds of entry are bounded: at most `capacity` programs (LRU), and
+/// at most kSightingCapacity keys seen but not (yet) captured, also LRU.  A
+/// key whose second sighting comes after kSightingCapacity newer keys has
+/// been forgotten and counts as a first sighting again, so shuffled
+/// training (a new key every step) keeps a flat table.
 ///
 /// acquire() is the single decision point:
 ///   kReplay   a captured program exists and its run lock was acquired
@@ -311,6 +324,9 @@ class ProgramCache {
     std::uint64_t fused_kernels_removed = 0;
   };
 
+  /// Keys remembered between their first sighting and their capture.
+  static constexpr std::size_t kSightingCapacity = 4096;
+
   explicit ProgramCache(std::size_t capacity = 8);
 
   Lease acquire(std::uint64_t key);
@@ -325,6 +341,7 @@ class ProgramCache {
 
   Stats stats() const;
   std::size_t size() const;       ///< cached programs (not sightings)
+  std::size_t tracked_keys() const;  ///< every entry: programs + sightings
   std::size_t capacity() const { return capacity_; }
   /// Snapshot of every cached program (golden-tape tests inspect fused
   /// span/kernel counts without knowing the keys).
@@ -336,12 +353,18 @@ class ProgramCache {
     std::uint64_t sightings = 0;
     std::uint64_t last_used = 0;
     bool capturing = false;
+    bool listed = false;  ///< on seen_ (neither a program nor capturing)
+    std::list<std::uint64_t>::iterator seen_pos;
   };
 
   void evict_locked();
+  /// Put `key` at the front of seen_ when it is sighting-only, take it off
+  /// otherwise, then forget the oldest sightings beyond kSightingCapacity.
+  void relist_locked(std::uint64_t key, Entry& e);
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Entry> entries_;
+  std::list<std::uint64_t> seen_;  ///< sighting-only keys, newest first
   std::size_t capacity_;
   std::uint64_t clock_ = 0;
   Stats stats_;

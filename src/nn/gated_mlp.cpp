@@ -26,6 +26,43 @@ void gated_act_loop(index_t rows, index_t c, float eps, const float* pp,
   // (tolerance-gated class: reassociated reductions + polynomial exp).
   ::fastchg::ops::rownorm::gated_act(rows, c, eps, pp, gc, bc, gg, bg, po);
 }
+
+/// First-order backward of gated_act_fused as one kernel: recomputes both
+/// layernorms from `packed` and returns {d_packed, d_gamma_c, d_beta_c,
+/// d_gamma_g, d_beta_g} as constants.
+std::vector<Var> gated_act_backward_first_order(
+    const Tensor& pv, const Tensor& gc, const Tensor& bc, const Tensor& gg,
+    const Tensor& bg, const Tensor& dy, float eps) {
+  perf::count_kernel("fused_gated_act_backward");
+  const index_t rows = pv.size(0);
+  const index_t c = pv.size(1) / 2;
+  Tensor dx = Tensor::empty(pv.shape());
+  Tensor dgc = Tensor::empty(gc.shape());
+  Tensor dbc = Tensor::empty(bc.shape());
+  Tensor dgg = Tensor::empty(gg.shape());
+  Tensor dbg = Tensor::empty(bg.shape());
+  ::fastchg::ops::rownorm::gated_act_backward(
+      rows, c, eps, pv.data(), gc.data(), bc.data(), gg.data(), bg.data(),
+      dy.data(), dx.data(), dgc.data(), dbc.data(), dgg.data(), dbg.data());
+  if (auto* rec = replay::Recorder::active()) {
+    const std::vector<int> ins = {rec->note_input(pv), rec->note_input(gc),
+                                  rec->note_input(bc), rec->note_input(gg),
+                                  rec->note_input(bg), rec->note_input(dy)};
+    const std::vector<int> outs = {
+        rec->note_output(dx), rec->note_output(dgc), rec->note_output(dbc),
+        rec->note_output(dgg), rec->note_output(dbg)};
+    rec->push("fused_gated_act_backward", /*counted=*/true, ins, outs,
+              [rows, c, eps, ins, outs](float* const* S) {
+                ::fastchg::ops::rownorm::gated_act_backward(
+                    rows, c, eps, S[ins[0]], S[ins[1]], S[ins[2]], S[ins[3]],
+                    S[ins[4]], S[ins[5]], S[outs[0]], S[outs[1]], S[outs[2]],
+                    S[outs[3]], S[outs[4]]);
+              });
+  }
+  return {constant(std::move(dx)), constant(std::move(dgc)),
+          constant(std::move(dbc)), constant(std::move(dgg)),
+          constant(std::move(dbg))};
+}
 }  // namespace
 
 GatedMLP::GatedMLP(index_t in, index_t out, Rng& rng, bool fused)
@@ -93,6 +130,11 @@ Var gated_act_fused(const Var& packed, const Var& gamma_c, const Var& beta_c,
       {packed, gamma_c, beta_c, gamma_g, beta_g},
       [packed, gamma_c, beta_c, gamma_g, beta_g,
        eps](const Var& g) -> std::vector<Var> {
+        if (!ag::grad_enabled()) {
+          return gated_act_backward_first_order(
+              packed.value(), gamma_c.value(), beta_c.value(),
+              gamma_g.value(), beta_g.value(), g.value(), eps);
+        }
         const index_t cc = packed.size(1) / 2;
         // LN forward pieces computed once per half and shared between the
         // activation-grad chain and the LN backward formula (keeps the

@@ -4,6 +4,7 @@
 // AVX2 codegen can leak into the scalar path on a host without AVX2.
 #include "ops/gemm.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/parallel_for.hpp"
@@ -28,6 +29,24 @@ void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
   });
 }
 
+void matmul_tn(index_t m, index_t k, index_t n, const float* a,
+               const float* g, float* o) {
+  std::memset(o, 0, static_cast<std::size_t>(k * n) * sizeof(float));
+  parallel_for(0, k, /*grain=*/4, [&](index_t lo, index_t hi) {
+    for (index_t r0 = 0; r0 < m; r0 += kTnRowBlock) {
+      const index_t r1 = std::min(m, r0 + kTnRowBlock);
+      for (index_t i = lo; i < hi; ++i) {
+        float* orow = o + i * n;
+        for (index_t r = r0; r < r1; ++r) {
+          const float av = a[r * k + i];
+          const float* grow = g + r * n;
+          for (index_t j = 0; j < n; ++j) orow[j] += av * grow[j];
+        }
+      }
+    }
+  });
+}
+
 }  // namespace scalar
 
 namespace avx2 {
@@ -36,6 +55,27 @@ void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
             float* o) {
   parallel_for(0, m, /*grain=*/16, [&](index_t lo, index_t hi) {
     matmul_rows(lo, hi, k, n, a, b, o);
+  });
+}
+
+void matmul_tn(index_t m, index_t k, index_t n, const float* a,
+               const float* g, float* o) {
+  if (m == 0) {
+    std::memset(o, 0, static_cast<std::size_t>(k * n) * sizeof(float));
+    return;
+  }
+  // One contiguous range of output-row pairs per thread: every range
+  // streams all of G once, so fewer, larger ranges mean less G traffic.
+  // Pairs keep the 2-row micro-kernel aligned.
+  const index_t pairs = (k + 1) / 2;
+  const index_t per_thread = (pairs + num_threads() - 1) / num_threads();
+  parallel_for(0, pairs, std::max<index_t>(2, per_thread),
+               [&](index_t lo, index_t hi) {
+    const index_t i0 = 2 * lo, i1 = std::min(k, 2 * hi);
+    for (index_t r0 = 0; r0 < m; r0 += kTnRowBlock) {
+      matmul_tn_rows(i0, i1, r0, std::min(m, r0 + kTnRowBlock), k, n, a, g,
+                     o);
+    }
   });
 }
 
@@ -48,6 +88,15 @@ void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
     return;
   }
   scalar::matmul(m, k, n, a, b, o);
+}
+
+void matmul_tn(index_t m, index_t k, index_t n, const float* a,
+               const float* g, float* o) {
+  if (active_tier() == Tier::kAvx2) {
+    avx2::matmul_tn(m, k, n, a, g, o);
+    return;
+  }
+  scalar::matmul_tn(m, k, n, a, g, o);
 }
 
 }  // namespace fastchg::ops::gemm

@@ -61,14 +61,14 @@ using replay::RecorderScope;
 // datasets + tiny_config).  They change only when the model's op schedule
 // or the fusion pass changes -- update them deliberately, with the perf
 // numbers in hand.
-constexpr std::uint64_t kGoldenTrainerRaw = 3713;
-constexpr std::uint64_t kGoldenTrainerCounted = 1225;
+constexpr std::uint64_t kGoldenTrainerRaw = 3585;
+constexpr std::uint64_t kGoldenTrainerCounted = 1116;
 constexpr std::size_t kGoldenTrainerSpans = 352;
-constexpr std::uint64_t kGoldenServeRaw = 1260;
-constexpr std::uint64_t kGoldenServeCounted = 456;
+constexpr std::uint64_t kGoldenServeRaw = 1215;
+constexpr std::uint64_t kGoldenServeCounted = 413;
 constexpr std::size_t kGoldenServeSpans = 147;
-constexpr std::uint64_t kGoldenDpRaw = 2589;
-constexpr std::uint64_t kGoldenDpCounted = 889;
+constexpr std::uint64_t kGoldenDpRaw = 2501;
+constexpr std::uint64_t kGoldenDpCounted = 818;
 constexpr std::size_t kGoldenDpSpans = 269;
 
 class FuseTest : public ::testing::Test {

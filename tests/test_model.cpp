@@ -1,18 +1,22 @@
 // Integration tests for the CHGNet/FastCHGNet model: output shapes,
 // serial-vs-batched and fused-vs-unfused equivalence, energy/force/stress
 // consistency of the derivative readout, rotation equivariance of the
-// decoupled force head, parameter-count ordering, and double backward
-// through the full model.
+// decoupled force head, parameter-count ordering, double backward through
+// the full model, and first-order backward (no graph, dedicated kernels)
+// against the create_graph backward.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
 #include "chgnet/model.hpp"
+#include "core/parallel_for.hpp"
 #include "data/batch.hpp"
 #include "data/dataset.hpp"
 #include "perf/counters.hpp"
+#include "train/loss.hpp"
 
 namespace fastchg::model {
 namespace {
@@ -406,6 +410,75 @@ TEST(Model, EvalModeUsesNoGraphForDecoupled) {
   }
   // After the outputs die, no graph survives.
   EXPECT_LE(perf::counters().bytes_live, live_before + 1024);
+}
+
+/// Every parameter's gradient of the stage-3 training loss on `b`, after one
+/// backward with the given create_graph flag.
+std::vector<std::vector<float>> loss_param_grads(CHGNet& net, const Batch& b,
+                                                 bool create_graph) {
+  net.zero_grad();
+  ModelOutput out = net.forward(b, ForwardMode::kTrain);
+  ag::backward(train::chgnet_loss(out, b).total, {}, create_graph);
+  std::vector<std::vector<float>> grads;
+  for (auto& p : net.parameters()) {
+    grads.push_back(p.has_grad() ? p.grad().to_vector()
+                                 : std::vector<float>{});
+  }
+  return grads;
+}
+
+Batch stage3_batch() {
+  Dataset ds = tiny_dataset(32, 91);
+  std::vector<index_t> rows(32);
+  for (index_t i = 0; i < 32; ++i) rows[static_cast<std::size_t>(i)] = i;
+  return data::collate_indices(ds, rows);
+}
+
+TEST(Model, FirstOrderBackwardMatchesCreateGraphGradients) {
+  // The first-order backward runs matmul_tn and the fused gated-act backward
+  // kernel; create_graph=true runs the op-composed backward.  Both must give
+  // every parameter the same gradient up to rounding.
+  Batch b = stage3_batch();
+  CHGNet net(ModelConfig::optimization_stage(3), 21);
+  const auto first = loss_param_grads(net, b, /*create_graph=*/false);
+  const auto composed = loss_param_grads(net, b, /*create_graph=*/true);
+  const auto names = net.named_parameters();
+  ASSERT_EQ(first.size(), composed.size());
+  index_t compared = 0;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i].size(), composed[i].size()) << names[i].first;
+    double diff2 = 0.0, ref2 = 0.0;
+    for (std::size_t j = 0; j < first[i].size(); ++j) {
+      const double d = static_cast<double>(first[i][j]) - composed[i][j];
+      diff2 += d * d;
+      ref2 += static_cast<double>(composed[i][j]) * composed[i][j];
+    }
+    if (first[i].empty()) continue;
+    ++compared;
+    EXPECT_LE(std::sqrt(diff2), 1e-5 * std::sqrt(ref2) + 1e-12)
+        << names[i].first << ": |diff| " << std::sqrt(diff2) << " |ref| "
+        << std::sqrt(ref2);
+  }
+  EXPECT_GT(compared, 20);
+}
+
+TEST(Model, FirstOrderGradientsIndependentOfThreadCount) {
+  Batch b = stage3_batch();
+  CHGNet net(ModelConfig::optimization_stage(3), 22);
+  const int saved = num_threads();
+  set_num_threads(1);
+  const auto one = loss_param_grads(net, b, /*create_graph=*/false);
+  set_num_threads(4);
+  const auto four = loss_param_grads(net, b, /*create_graph=*/false);
+  set_num_threads(saved);
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    ASSERT_EQ(one[i].size(), four[i].size());
+    if (one[i].empty()) continue;
+    EXPECT_EQ(0, std::memcmp(one[i].data(), four[i].data(),
+                             one[i].size() * sizeof(float)))
+        << "parameter " << i;
+  }
 }
 
 TEST(Model, FactoryFunctions) {

@@ -351,6 +351,59 @@ TEST_F(OpsDifferential, GemmDispatchMatchesTier) {
   EXPECT_TRUE(bitwise_equal(od, os));
 }
 
+/// Row-major transpose of a [rows, cols] matrix.
+std::vector<float> transposed(const std::vector<float>& a, index_t rows,
+                              index_t cols) {
+  std::vector<float> t(a.size());
+  for (index_t r = 0; r < rows; ++r) {
+    for (index_t c = 0; c < cols; ++c) {
+      t[static_cast<std::size_t>(c * rows + r)] =
+          a[static_cast<std::size_t>(r * cols + c)];
+    }
+  }
+  return t;
+}
+
+TEST_F(OpsDifferential, GemmTnMatchesExplicitTransposeAtEachTier) {
+  // matmul_tn(A, G) accumulates each output over the rows of A in order, as
+  // matmul(A^T, G) does: bitwise equal at each tier, across row blocks
+  // (m > kTnRowBlock, m > 1e4), odd output rows (the single-row tail) and
+  // the 16/8/scalar column tails.
+  struct Dim {
+    index_t m, k, n;
+  };
+  const Dim dims[] = {{1, 1, 1},     {3, 7, 5},      {17, 13, 33},
+                      {256, 9, 64},  {257, 32, 17},  {1000, 97, 40},
+                      {10007, 5, 31}, {12289, 64, 64}};
+  std::vector<Tier> tiers = {Tier::kScalar};
+  if (avx2_supported()) tiers.push_back(Tier::kAvx2);
+  for (const Dim& d : dims) {
+    auto a = random_vec(rng_, d.m * d.k, -1.0f, 1.0f);
+    auto g = random_vec(rng_, d.m * d.n, -1.0f, 1.0f);
+    const auto at = transposed(a, d.m, d.k);
+    std::vector<std::vector<float>> per_tier;
+    for (Tier t : tiers) {
+      set_simd_tier(t);
+      std::vector<float> tn(static_cast<std::size_t>(d.k * d.n), -1.0f),
+          ref(static_cast<std::size_t>(d.k * d.n));
+      gemm::matmul_tn(d.m, d.k, d.n, a.data(), g.data(), tn.data());
+      gemm::matmul(d.k, d.m, d.n, at.data(), g.data(), ref.data());
+      EXPECT_TRUE(bitwise_equal(tn, ref))
+          << tier_name(t) << " matmul_tn " << d.m << "x" << d.k << "x" << d.n
+          << " (seed " << kSeed << ")";
+      per_tier.push_back(std::move(tn));
+    }
+    if (per_tier.size() == 2) {
+      const float tol = 1e-5f * static_cast<float>(d.m);
+      for (std::size_t i = 0; i < per_tier[0].size(); ++i) {
+        ASSERT_NEAR(per_tier[0][i], per_tier[1][i], tol)
+            << "matmul_tn " << d.m << "x" << d.k << "x" << d.n << " elem "
+            << i << " (seed " << kSeed << ")";
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Basis: tolerance-gated (Cephes polynomials vs libm)
 
@@ -455,6 +508,90 @@ TEST_F(OpsDifferential, GatedActToleranceGated) {
       ASSERT_NEAR(os[i], ov[i], 1e-5f)
           << "gated_act c=" << c << " elem " << i << " (seed " << kSeed << ")";
     }
+  }
+}
+
+TEST_F(OpsDifferential, GatedActBackwardToleranceGated) {
+  // Scalar vs AVX2 first-order backward of the packed gated activation:
+  // row counts straddle kGatedBwdChunk, widths the 8-lane tail.
+  FASTCHG_REQUIRE_AVX2();
+  for (index_t c : {index_t{1}, index_t{7}, index_t{16}, index_t{17},
+                    index_t{64}}) {
+    for (index_t rows : {index_t{1}, index_t{63}, index_t{65}, index_t{300}}) {
+      auto x = random_vec(rng_, rows * 2 * c);
+      auto dy = random_vec(rng_, rows * c, -1.0f, 1.0f);
+      auto gc = random_vec(rng_, c, 0.5f, 1.5f);
+      auto bc = random_vec(rng_, c, -0.5f, 0.5f);
+      auto gg = random_vec(rng_, c, 0.5f, 1.5f);
+      auto bg = random_vec(rng_, c, -0.5f, 0.5f);
+      std::vector<float> out[2][5];
+      for (int t = 0; t < 2; ++t) {
+        auto& o = out[t];
+        o[0].resize(static_cast<std::size_t>(rows * 2 * c));
+        for (int q = 1; q < 5; ++q) o[q].resize(static_cast<std::size_t>(c));
+        auto fn = t == 0 ? rownorm::scalar::gated_act_backward
+                         : rownorm::avx2::gated_act_backward;
+        fn(rows, c, 1e-5f, x.data(), gc.data(), bc.data(), gg.data(),
+           bg.data(), dy.data(), o[0].data(), o[1].data(), o[2].data(),
+           o[3].data(), o[4].data());
+      }
+      // Measured worst cases: 1.2e-7 for dx, 1.2e-6 for the parameter
+      // gradients at 300 rows (each sums `rows` terms).
+      const float ptol = 1e-6f * (1.0f + static_cast<float>(rows) / 64.0f);
+      const float tols[5] = {1e-6f, ptol, ptol, ptol, ptol};
+      for (int q = 0; q < 5; ++q) {
+        for (std::size_t i = 0; i < out[0][q].size(); ++i) {
+          ASSERT_NEAR(out[0][q][i], out[1][q][i], tols[q])
+              << "gated_act_backward c=" << c << " rows=" << rows
+              << " output " << q << " elem " << i << " (seed " << kSeed
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST_F(OpsDifferential, GatedActBackwardMatchesFiniteDifferences) {
+  // The scalar reference against central differences of the scalar forward
+  // in double-precision sums: d/dx and d/dgamma of sum(dy * gated_act).
+  const index_t rows = 5, c = 9;
+  auto x = random_vec(rng_, rows * 2 * c, -2.0f, 2.0f);
+  auto dy = random_vec(rng_, rows * c, -1.0f, 1.0f);
+  auto gc = random_vec(rng_, c, 0.5f, 1.5f);
+  auto bc = random_vec(rng_, c, -0.5f, 0.5f);
+  auto gg = random_vec(rng_, c, 0.5f, 1.5f);
+  auto bg = random_vec(rng_, c, -0.5f, 0.5f);
+  std::vector<float> dx(x.size()), dgc(c), dbc(c), dgg(c), dbg(c);
+  rownorm::scalar::gated_act_backward(rows, c, 1e-5f, x.data(), gc.data(),
+                                      bc.data(), gg.data(), bg.data(),
+                                      dy.data(), dx.data(), dgc.data(),
+                                      dbc.data(), dgg.data(), dbg.data());
+  auto objective = [&]() {
+    std::vector<float> o(static_cast<std::size_t>(rows * c));
+    rownorm::scalar::gated_act(rows, c, 1e-5f, x.data(), gc.data(), bc.data(),
+                               gg.data(), bg.data(), o.data());
+    double s = 0.0;
+    for (std::size_t i = 0; i < o.size(); ++i) s += double(o[i]) * dy[i];
+    return s;
+  };
+  auto numeric = [&](float& v) {
+    const float h = 1e-2f, saved = v;
+    v = saved + h;
+    const double up = objective();
+    v = saved - h;
+    const double dn = objective();
+    v = saved;
+    return (up - dn) / (2.0 * h);
+  };
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(dx[i], numeric(x[i]), 3e-3) << "dx " << i;
+  }
+  for (index_t i = 0; i < c; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    EXPECT_NEAR(dgc[u], numeric(gc[u]), 3e-3) << "dgamma_core " << i;
+    EXPECT_NEAR(dbc[u], numeric(bc[u]), 3e-3) << "dbeta_core " << i;
+    EXPECT_NEAR(dgg[u], numeric(gg[u]), 3e-3) << "dgamma_gate " << i;
+    EXPECT_NEAR(dbg[u], numeric(bg[u]), 3e-3) << "dbeta_gate " << i;
   }
 }
 

@@ -445,10 +445,19 @@ TEST(DataParallel, TraceMatchesSimulatedLedger) {
   for (const auto& [dev, total] : totals) {
     EXPECT_NEAR(total, res.simulated_seconds, tol) << "device " << dev;
   }
-  // The straggler actually showed up: device 1's iteration-0 compute is the
-  // epoch max, so everyone else's lane carries straggler slack.
-  EXPECT_EQ(res.iterations[0].max_compute_s,
-            res.iterations[0].device_compute_s[1]);
+  // The straggler reached the ledger where the plan put it: device 1's
+  // compute carries the injected 4x in iterations 0-1 and no factor after,
+  // and each iteration's max (which every lane's slack is measured against)
+  // is the max of the scaled computes.  Which device's wall time ran longest
+  // is left to the machine: a preempted sibling may beat 4x device 1.
+  for (std::size_t i = 0; i < res.iterations.size(); ++i) {
+    const IterationTiming& it = res.iterations[i];
+    EXPECT_EQ(it.device_slowdown,
+              (std::vector<double>{1.0, i < 2 ? 4.0 : 1.0, 1.0, 1.0}))
+        << "iteration " << i;
+    EXPECT_EQ(it.max_compute_s, *std::max_element(it.device_compute_s.begin(),
+                                                  it.device_compute_s.end()));
+  }
 }
 
 TEST(DataParallel, TraceLedgerHoldsForSurvivorsAfterFailure) {

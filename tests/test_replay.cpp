@@ -334,6 +334,41 @@ TEST_F(ReplayTest, CacheInvalidateForcesRecapture) {
   EXPECT_EQ(cache.acquire(key).action, ProgramCache::Action::kCapture);
 }
 
+TEST_F(ReplayTest, CacheSightingTableStaysFlatOnUniqueKeys) {
+  // Shuffled training: every step is a new key.  The sighting table is an
+  // LRU of kSightingCapacity keys, so 10^4 unique keys leave it flat, while
+  // a key seen again within the window still captures on its second
+  // sighting and replays from its third.
+  replay::set_replay_enabled(true);
+  std::mt19937_64 rng(37u);
+  ProgramCache cache(4);
+  const std::uint64_t repeated = 0xfeedu;
+  ASSERT_EQ(cache.acquire(repeated).action, ProgramCache::Action::kEager);
+  std::size_t tracked_at_half = 0;
+  for (std::uint64_t key = 1; key <= 10000; ++key) {
+    ASSERT_EQ(cache.acquire(key).action, ProgramCache::Action::kEager) << key;
+    if (key == 100) {
+      // Second sighting of the repeated key, 100 unique keys later.
+      ASSERT_EQ(cache.acquire(repeated).action,
+                ProgramCache::Action::kCapture);
+      cache.store(repeated, capture_tiny(random_square(rng, 3),
+                                         random_square(rng, 3)));
+    }
+    if (key == 5000) tracked_at_half = cache.tracked_keys();
+  }
+  EXPECT_EQ(tracked_at_half, ProgramCache::kSightingCapacity + 1);
+  EXPECT_EQ(cache.tracked_keys(), tracked_at_half);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.acquire(repeated).action, ProgramCache::Action::kReplay);
+
+  // Forgotten sightings start over: key 1 is long gone, so its next
+  // sighting is a first one again (eager), and the one after captures.
+  EXPECT_EQ(cache.acquire(1).action, ProgramCache::Action::kEager);
+  EXPECT_EQ(cache.acquire(1).action, ProgramCache::Action::kCapture);
+  // The newest key is still remembered: its second sighting captures.
+  EXPECT_EQ(cache.acquire(10000).action, ProgramCache::Action::kCapture);
+}
+
 TEST_F(ReplayTest, DisabledReplayIsCompletelyInert) {
   replay::set_replay_enabled(false);
   ProgramCache cache(4);

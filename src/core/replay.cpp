@@ -390,9 +390,11 @@ ProgramCache::Lease ProgramCache::acquire(std::uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.lookups;
   ++clock_;
-  Entry& e = entries_[key];
+  auto [pos, inserted] = entries_.try_emplace(key);
+  Entry& e = pos->second;
   e.last_used = clock_;
   ++e.sightings;
+  if (inserted) evict_locked();  // e is the newest entry, never the victim
   if (e.program) {
     std::unique_lock<std::mutex> run_lock(e.program->run_mu_,
                                           std::try_to_lock);
@@ -421,7 +423,6 @@ ProgramCache::Lease ProgramCache::acquire(std::uint64_t key) {
     e.capturing = true;
     lease.action = Action::kCapture;
   }
-  relist_locked(key, e);
   return lease;
 }
 
@@ -438,16 +439,13 @@ void ProgramCache::store(std::uint64_t key,
   it->second.program = std::move(program);
   ++stats_.captures;
   perf::track_replay_capture();
-  relist_locked(key, it->second);
   evict_locked();
 }
 
 void ProgramCache::abort_capture(std::uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
-  if (it == entries_.end()) return;
-  it->second.capturing = false;
-  relist_locked(key, it->second);
+  if (it != entries_.end()) it->second.capturing = false;
 }
 
 void ProgramCache::invalidate(std::uint64_t key) {
@@ -461,7 +459,6 @@ void ProgramCache::invalidate(std::uint64_t key) {
   it->second.program.reset();
   it->second.sightings = 1;
   it->second.capturing = false;
-  relist_locked(key, it->second);
 }
 
 ProgramCache::Stats ProgramCache::stats() const {
@@ -492,46 +489,38 @@ std::size_t ProgramCache::tracked_keys() const {
   return entries_.size();
 }
 
-void ProgramCache::relist_locked(std::uint64_t key, Entry& e) {
-  const bool sighting_only = !e.program && !e.capturing;
-  if (e.listed) {
-    if (sighting_only) {
-      seen_.splice(seen_.begin(), seen_, e.seen_pos);
-      return;
-    }
-    seen_.erase(e.seen_pos);
-    e.listed = false;
-    return;
-  }
-  if (!sighting_only) return;
-  e.seen_pos = seen_.insert(seen_.begin(), key);
-  e.listed = true;
-  while (seen_.size() > kSightingCapacity) {
-    entries_.erase(seen_.back());
-    seen_.pop_back();
-  }
-}
-
 void ProgramCache::evict_locked() {
-  // LRU over entries that actually hold programs (sighting-only entries
-  // have their own LRU, relist_locked).
-  while (true) {
-    std::size_t with_prog = 0;
-    std::uint64_t oldest_used = 0;
-    std::uint64_t oldest_key = 0;
-    bool found = false;
-    for (const auto& [k, e] : entries_) {
-      if (!e.program) continue;
-      ++with_prog;
-      if (!found || e.last_used < oldest_used) {
-        oldest_used = e.last_used;
-        oldest_key = k;
-        found = true;
+  // Two LRUs over the same map, both by last_used: entries holding programs
+  // (at most capacity_) and sighting-only entries, keys seen but neither
+  // captured nor capturing (at most kSightingCapacity; shuffled training
+  // sees a new key every step).  Capturing entries are never evicted.
+  struct Oldest {
+    std::size_t count = 0;
+    std::uint64_t key = 0, used = 0;
+    void see(std::uint64_t k, std::uint64_t u) {
+      if (count++ == 0 || u < used) {
+        key = k;
+        used = u;
       }
     }
-    if (with_prog <= capacity_ || !found) break;
-    entries_.erase(oldest_key);
-    ++stats_.evictions;
+  };
+  while (true) {
+    Oldest programs, sightings;
+    for (const auto& [k, e] : entries_) {
+      if (e.program) {
+        programs.see(k, e.last_used);
+      } else if (!e.capturing) {
+        sightings.see(k, e.last_used);
+      }
+    }
+    const bool over_programs = programs.count > capacity_;
+    const bool over_sightings = sightings.count > kSightingCapacity;
+    if (!over_programs && !over_sightings) break;
+    if (over_programs) {
+      entries_.erase(programs.key);
+      ++stats_.evictions;
+    }
+    if (over_sightings) entries_.erase(sightings.key);
   }
 }
 

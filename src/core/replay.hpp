@@ -51,7 +51,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -353,18 +352,14 @@ class ProgramCache {
     std::uint64_t sightings = 0;
     std::uint64_t last_used = 0;
     bool capturing = false;
-    bool listed = false;  ///< on seen_ (neither a program nor capturing)
-    std::list<std::uint64_t>::iterator seen_pos;
   };
 
+  /// Drop the least recently used program beyond capacity_ and sighting
+  /// beyond kSightingCapacity.
   void evict_locked();
-  /// Put `key` at the front of seen_ when it is sighting-only, take it off
-  /// otherwise, then forget the oldest sightings beyond kSightingCapacity.
-  void relist_locked(std::uint64_t key, Entry& e);
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::list<std::uint64_t> seen_;  ///< sighting-only keys, newest first
   std::size_t capacity_;
   std::uint64_t clock_ = 0;
   Stats stats_;

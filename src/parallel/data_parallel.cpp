@@ -299,7 +299,6 @@ EpochResult DataParallelTrainer::train_epoch(
     IterationTiming it;
     it.num_alive = num_alive();
     it.device_compute_s.resize(shards.size());
-    it.device_slowdown.resize(shards.size());
     std::uint64_t max_bytes = 0;
     bool finite = true;
     for (std::size_t d = 0; d < shards.size(); ++d) {
@@ -381,8 +380,8 @@ EpochResult DataParallelTrainer::train_epoch(
         ++loss_count;
       }
       finite = finite && dev_finite;
-      it.device_slowdown[d] = inj.compute_multiplier(alive_[d], iter);
-      it.device_compute_s[d] = t.seconds() * it.device_slowdown[d];
+      it.device_compute_s[d] =
+          t.seconds() * inj.compute_multiplier(alive_[d], iter);
       max_bytes = std::max(max_bytes, shard_bytes(ds, shards[d]));
     }
 

@@ -71,9 +71,6 @@ struct DataParallelConfig {
 
 struct IterationTiming {
   std::vector<double> device_compute_s;  ///< measured per *alive* device
-  /// Straggler factor the fault plan applied to each alive device's measured
-  /// compute (1 = none): device_compute_s = wall time x this.
-  std::vector<double> device_slowdown;
   double max_compute_s = 0.0;
   double comm_s = 0.0;          ///< raw all-reduce time (model)
   double exposed_comm_s = 0.0;  ///< after overlap

@@ -397,12 +397,8 @@ TEST(Elastic, StragglerInflatesThatDevicesCompute) {
   ASSERT_EQ(result.iterations.size(), 2u);
   const auto& normal = result.iterations[0];
   const auto& slowed = result.iterations[1];
-  // The factor lands on device 1 in iteration 1 only.  Asserted on the
-  // injected factor, not on wall times: how long device 1 computed against
-  // a (possibly preempted) sibling is the machine's business.
-  EXPECT_EQ(normal.device_slowdown, (std::vector<double>{1.0, 1.0, 1.0, 1.0}));
-  EXPECT_EQ(slowed.device_slowdown,
-            (std::vector<double>{1.0, 1000.0, 1.0, 1.0}));
+  // A 1000x multiplier dwarfs shard-size noise between the two iterations.
+  EXPECT_GT(slowed.device_compute_s[1], 10.0 * normal.device_compute_s[1]);
   EXPECT_EQ(slowed.max_compute_s,
             *std::max_element(slowed.device_compute_s.begin(),
                               slowed.device_compute_s.end()));

@@ -434,7 +434,7 @@ TEST(DataParallel, TraceMatchesSimulatedLedger) {
   cfg.num_devices = 4;
   cfg.global_batch = 8;  // 4 iterations
   DataParallelTrainer dp(tiny_fast_config(), cfg, 11);
-  const FaultPlan plan = parse_fault_plan("slow:1@0*4#2");
+  const FaultPlan plan = parse_fault_plan("slow:1@0*1000#2");
   perf::trace_enable();
   EpochResult res = dp.train_epoch(ds, rows, 0, &plan);
   const auto totals = sim_lane_totals();
@@ -445,18 +445,20 @@ TEST(DataParallel, TraceMatchesSimulatedLedger) {
   for (const auto& [dev, total] : totals) {
     EXPECT_NEAR(total, res.simulated_seconds, tol) << "device " << dev;
   }
-  // The straggler reached the ledger where the plan put it: device 1's
-  // compute carries the injected 4x in iterations 0-1 and no factor after,
-  // and each iteration's max (which every lane's slack is measured against)
-  // is the max of the scaled computes.  Which device's wall time ran longest
-  // is left to the machine: a preempted sibling may beat 4x device 1.
+  // The straggler reached the ledger where the plan put it: in iterations
+  // 0-1 device 1's compute carries the injected 1000x, which dwarfs any
+  // preemption of a sibling, and each iteration's max
+  // (which every lane's slack is measured against) is the max of the scaled
+  // computes.
   for (std::size_t i = 0; i < res.iterations.size(); ++i) {
     const IterationTiming& it = res.iterations[i];
-    EXPECT_EQ(it.device_slowdown,
-              (std::vector<double>{1.0, i < 2 ? 4.0 : 1.0, 1.0, 1.0}))
-        << "iteration " << i;
     EXPECT_EQ(it.max_compute_s, *std::max_element(it.device_compute_s.begin(),
                                                   it.device_compute_s.end()));
+    if (i >= 2) continue;
+    for (int d : {0, 2, 3}) {
+      EXPECT_GT(it.device_compute_s[1], 10.0 * it.device_compute_s[d])
+          << "iteration " << i << " device " << d;
+    }
   }
 }
 

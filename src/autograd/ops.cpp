@@ -24,15 +24,34 @@
 // GEMM, row gather/scatter and column sums through the tiered op library.
 // Ops in the bit-exact class produce identical bytes at every tier;
 // transcendentals and double-accumulated reductions stay pinned to the
-// scalar reference (see docs/ops.md), so the fuse/replay/pool 0.0-diff
-// gates hold under any FASTCHG_SIMD setting.
+// scalar reference (see docs/ops.md), so the replay/pool 0.0-diff gates
+// hold under any FASTCHG_SIMD setting.
 
 namespace fastchg::ag::ops {
 
-namespace fuse = replay::fuse;
 namespace sops = ::fastchg::ops;
 
 namespace {
+
+/// Which ops::eltwise entry point an elementwise kernel routes through;
+/// kLoop runs the kernel's own scalar lambda (transcendentals, pow).
+enum class EOp {
+  kLoop,
+  kAdd,
+  kSub,
+  kMul,
+  kDiv,
+  kAddS,
+  kMulS,
+  kNeg,
+  kAbs,
+  kSquare,
+  kRecip,
+  kSqrt,
+  kSign,
+  kClamp,
+  kClampMask,
+};
 
 // --------------------------------------------------------------------------
 // Broadcast classification.  Only the patterns the model needs are allowed;
@@ -147,10 +166,9 @@ void binary_loop(BPat pat, index_t rows, index_t cols, index_t n,
 /// loop.  Eager call and replay closure both come through here, so the two
 /// paths keep identical instruction streams per tier.
 template <class F>
-void binary_loop_d(fuse::EOp eop, BPat pat, index_t rows, index_t cols,
+void binary_loop_d(EOp eop, BPat pat, index_t rows, index_t cols,
                    index_t n, const float* pa, const float* pb, float* po,
                    F f) {
-  using fuse::EOp;
   if (eop != EOp::kAdd && eop != EOp::kSub && eop != EOp::kMul &&
       eop != EOp::kDiv) {
     binary_loop(pat, rows, cols, n, pa, pb, po, f);
@@ -236,43 +254,8 @@ void binary_loop_d(fuse::EOp eop, BPat pat, index_t rows, index_t cols,
   }
 }
 
-/// Addressing modes a broadcast pattern imposes on the two operands (the
-/// fusion pass reads elements through the same modes the eager loop uses).
-void fuse_addrs(BPat pat, index_t cols, fuse::Addr& aa, fuse::Addr& ab,
-                index_t& dcols) {
-  aa = fuse::Addr::kElem;
-  ab = fuse::Addr::kElem;
-  dcols = 0;
-  switch (pat) {
-    case BPat::kSame:
-      break;
-    case BPat::kAScalar:
-      aa = fuse::Addr::kScalar;
-      break;
-    case BPat::kBScalar:
-      ab = fuse::Addr::kScalar;
-      break;
-    case BPat::kARow:
-      aa = fuse::Addr::kRow;
-      dcols = cols;
-      break;
-    case BPat::kBRow:
-      ab = fuse::Addr::kRow;
-      dcols = cols;
-      break;
-    case BPat::kACol:
-      aa = fuse::Addr::kCol;
-      dcols = cols;
-      break;
-    case BPat::kBCol:
-      ab = fuse::Addr::kCol;
-      dcols = cols;
-      break;
-  }
-}
-
 template <class F>
-Tensor binary_kernel(const char* name, fuse::EOp eop, const Tensor& a,
+Tensor binary_kernel(const char* name, EOp eop, const Tensor& a,
                      const Tensor& b, F f) {
   perf::count_kernel(name);
   Shape out_shape;
@@ -286,15 +269,11 @@ Tensor binary_kernel(const char* name, fuse::EOp eop, const Tensor& a,
     const int sa = rec->note_input(a);
     const int sb = rec->note_input(b);
     const int so = rec->note_output(out);
-    fuse::Addr aa, ab;
-    index_t dcols;
-    fuse_addrs(pat, cols, aa, ab, dcols);
-    rec->push(
-        name, /*counted=*/true, {sa, sb}, so,
-        [eop, pat, rows, cols, n, sa, sb, so, f](float* const* S) {
-          binary_loop_d(eop, pat, rows, cols, n, S[sa], S[sb], S[so], f);
-        },
-        fuse::ew_binary(eop, aa, ab, n, dcols));
+    rec->push(name, /*counted=*/true, {sa, sb}, so,
+              [eop, pat, rows, cols, n, sa, sb, so, f](float* const* S) {
+                binary_loop_d(eop, pat, rows, cols, n, S[sa], S[sb], S[so],
+                              f);
+              });
   }
   return out;
 }
@@ -309,10 +288,9 @@ void unary_loop(index_t n, const float* px, float* po, F f) {
 /// (exp/log/sin/cos/acos/tanh/sigmoid/silu/pow) stay pinned to the scalar
 /// libm loop so their bytes never depend on the tier.
 template <class F>
-void unary_loop_d(fuse::EOp eop, float s0, float s1, index_t n,
+void unary_loop_d(EOp eop, float s0, float s1, index_t n,
                   const float* px, float* po, F f) {
   namespace ew = sops::eltwise;
-  using fuse::EOp;
   switch (eop) {
     case EOp::kNeg: ew::neg(n, px, po); return;
     case EOp::kAbs: ew::abs(n, px, po); return;
@@ -329,7 +307,7 @@ void unary_loop_d(fuse::EOp eop, float s0, float s1, index_t n,
 }
 
 template <class F>
-Tensor unary_kernel(const char* name, fuse::EOp eop, const Tensor& x, F f,
+Tensor unary_kernel(const char* name, EOp eop, const Tensor& x, F f,
                     float s0 = 0.0f, float s1 = 0.0f) {
   perf::count_kernel(name);
   Tensor out = Tensor::empty(x.shape());
@@ -338,12 +316,10 @@ Tensor unary_kernel(const char* name, fuse::EOp eop, const Tensor& x, F f,
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(x);
     const int so = rec->note_output(out);
-    rec->push(
-        name, /*counted=*/true, {sx}, so,
-        [eop, s0, s1, n, sx, so, f](float* const* S) {
-          unary_loop_d(eop, s0, s1, n, S[sx], S[so], f);
-        },
-        fuse::ew_unary(eop, n, s0, s1));
+    rec->push(name, /*counted=*/true, {sx}, so,
+              [eop, s0, s1, n, sx, so, f](float* const* S) {
+                unary_loop_d(eop, s0, s1, n, S[sx], S[so], f);
+              });
   }
   return out;
 }
@@ -360,7 +336,7 @@ Var ones_like(const Var& x) { return constant(Tensor::ones(x.shape())); }
 // ---------------------------------------------------------------------------
 
 Var add(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("add", fuse::EOp::kAdd, a.value(), b.value(),
+  Tensor out = binary_kernel("add", EOp::kAdd, a.value(), b.value(),
                              [](float x, float y) { return x + y; });
   Shape sa = a.shape(), sb = b.shape();
   const bool ra = a.requires_grad(), rb = b.requires_grad();
@@ -372,7 +348,7 @@ Var add(const Var& a, const Var& b) {
 }
 
 Var sub(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("sub", fuse::EOp::kSub, a.value(), b.value(),
+  Tensor out = binary_kernel("sub", EOp::kSub, a.value(), b.value(),
                              [](float x, float y) { return x - y; });
   Shape sa = a.shape(), sb = b.shape();
   const bool ra = a.requires_grad(), rb = b.requires_grad();
@@ -384,7 +360,7 @@ Var sub(const Var& a, const Var& b) {
 }
 
 Var mul(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("mul", fuse::EOp::kMul, a.value(), b.value(),
+  Tensor out = binary_kernel("mul", EOp::kMul, a.value(), b.value(),
                              [](float x, float y) { return x * y; });
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("mul", std::move(out), {a, b},
@@ -397,7 +373,7 @@ Var mul(const Var& a, const Var& b) {
 }
 
 Var div(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("div", fuse::EOp::kDiv, a.value(), b.value(),
+  Tensor out = binary_kernel("div", EOp::kDiv, a.value(), b.value(),
                              [](float x, float y) { return x / y; });
   Shape sa = a.shape(), sb = b.shape();
   Var result = make_op_node(
@@ -419,7 +395,7 @@ Var div(const Var& a, const Var& b) {
 
 Var add_scalar(const Var& x, float s) {
   Tensor out =
-      unary_kernel("add_scalar", fuse::EOp::kAddS, x.value(),
+      unary_kernel("add_scalar", EOp::kAddS, x.value(),
                    [s](float v) { return v + s; }, s);
   return make_op_node("add_scalar", std::move(out), {x},
                       [](const Var& g) -> std::vector<Var> { return {g}; });
@@ -427,7 +403,7 @@ Var add_scalar(const Var& x, float s) {
 
 Var mul_scalar(const Var& x, float s) {
   Tensor out =
-      unary_kernel("mul_scalar", fuse::EOp::kMulS, x.value(),
+      unary_kernel("mul_scalar", EOp::kMulS, x.value(),
                    [s](float v) { return v * s; }, s);
   return make_op_node("mul_scalar", std::move(out), {x},
                       [s](const Var& g) -> std::vector<Var> {
@@ -436,7 +412,7 @@ Var mul_scalar(const Var& x, float s) {
 }
 
 Var pow_scalar(const Var& x, float p) {
-  Tensor out = unary_kernel("pow_scalar", fuse::EOp::kPowS, x.value(),
+  Tensor out = unary_kernel("pow_scalar", EOp::kLoop, x.value(),
                             [p](float v) { return std::pow(v, p); }, p);
   return make_op_node("pow_scalar", std::move(out), {x},
                       [x, p](const Var& g) -> std::vector<Var> {
@@ -449,7 +425,7 @@ Var pow_scalar(const Var& x, float p) {
 // ---------------------------------------------------------------------------
 
 Var neg(const Var& x) {
-  Tensor out = unary_kernel("neg", fuse::EOp::kNeg, x.value(),
+  Tensor out = unary_kernel("neg", EOp::kNeg, x.value(),
                             [](float v) { return -v; });
   return make_op_node("neg", std::move(out), {x},
                       [](const Var& g) -> std::vector<Var> {
@@ -459,7 +435,7 @@ Var neg(const Var& x) {
 
 Var exp_op(const Var& x) {
   Tensor out =
-      unary_kernel("exp", fuse::EOp::kExp, x.value(),
+      unary_kernel("exp", EOp::kLoop, x.value(),
                    [](float v) { return std::exp(v); });
   Var y = make_op_node("exp", std::move(out), {x},
                        [x](const Var& g) -> std::vector<Var> {
@@ -470,7 +446,7 @@ Var exp_op(const Var& x) {
 
 Var log_op(const Var& x) {
   Tensor out =
-      unary_kernel("log", fuse::EOp::kLog, x.value(),
+      unary_kernel("log", EOp::kLoop, x.value(),
                    [](float v) { return std::log(v); });
   return make_op_node("log", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
@@ -480,7 +456,7 @@ Var log_op(const Var& x) {
 
 Var sqrt_op(const Var& x) {
   Tensor out =
-      unary_kernel("sqrt", fuse::EOp::kSqrt, x.value(),
+      unary_kernel("sqrt", EOp::kSqrt, x.value(),
                    [](float v) { return std::sqrt(v); });
   return make_op_node("sqrt", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
@@ -490,7 +466,7 @@ Var sqrt_op(const Var& x) {
 
 Var sin_op(const Var& x) {
   Tensor out =
-      unary_kernel("sin", fuse::EOp::kSin, x.value(),
+      unary_kernel("sin", EOp::kLoop, x.value(),
                    [](float v) { return std::sin(v); });
   return make_op_node("sin", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
@@ -500,7 +476,7 @@ Var sin_op(const Var& x) {
 
 Var cos_op(const Var& x) {
   Tensor out =
-      unary_kernel("cos", fuse::EOp::kCos, x.value(),
+      unary_kernel("cos", EOp::kLoop, x.value(),
                    [](float v) { return std::cos(v); });
   return make_op_node("cos", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
@@ -510,7 +486,7 @@ Var cos_op(const Var& x) {
 
 Var acos_op(const Var& x) {
   Tensor out =
-      unary_kernel("acos", fuse::EOp::kAcos, x.value(),
+      unary_kernel("acos", EOp::kLoop, x.value(),
                    [](float v) { return std::acos(v); });
   return make_op_node(
       "acos", std::move(out), {x}, [x](const Var& g) -> std::vector<Var> {
@@ -522,7 +498,7 @@ Var acos_op(const Var& x) {
 
 Var tanh_op(const Var& x) {
   Tensor out =
-      unary_kernel("tanh", fuse::EOp::kTanh, x.value(),
+      unary_kernel("tanh", EOp::kLoop, x.value(),
                    [](float v) { return std::tanh(v); });
   return make_op_node("tanh", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
@@ -532,7 +508,7 @@ Var tanh_op(const Var& x) {
 }
 
 Var sigmoid(const Var& x) {
-  Tensor out = unary_kernel("sigmoid", fuse::EOp::kSigmoid, x.value(), [](float v) {
+  Tensor out = unary_kernel("sigmoid", EOp::kLoop, x.value(), [](float v) {
     return 1.0f / (1.0f + std::exp(-v));
   });
   return make_op_node("sigmoid", std::move(out), {x},
@@ -543,7 +519,7 @@ Var sigmoid(const Var& x) {
 }
 
 Var silu(const Var& x) {
-  Tensor out = unary_kernel("silu", fuse::EOp::kSilu, x.value(), [](float v) {
+  Tensor out = unary_kernel("silu", EOp::kLoop, x.value(), [](float v) {
     return v / (1.0f + std::exp(-v));
   });
   return make_op_node(
@@ -557,11 +533,11 @@ Var silu(const Var& x) {
 
 Var abs_op(const Var& x) {
   Tensor out =
-      unary_kernel("abs", fuse::EOp::kAbs, x.value(),
+      unary_kernel("abs", EOp::kAbs, x.value(),
                    [](float v) { return std::fabs(v); });
   // sign(x) treated as a constant: correct almost everywhere and keeps
   // grad-of-grad well defined.
-  Tensor sign = unary_kernel("sign", fuse::EOp::kSign, x.value(), [](float v) {
+  Tensor sign = unary_kernel("sign", EOp::kSign, x.value(), [](float v) {
     return v > 0.0f ? 1.0f : (v < 0.0f ? -1.0f : 0.0f);
   });
   Var sign_c = constant(std::move(sign));
@@ -572,7 +548,7 @@ Var abs_op(const Var& x) {
 }
 
 Var reciprocal(const Var& x) {
-  Tensor out = unary_kernel("reciprocal", fuse::EOp::kRecip, x.value(),
+  Tensor out = unary_kernel("reciprocal", EOp::kRecip, x.value(),
                             [](float v) { return 1.0f / v; });
   return make_op_node("reciprocal", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
@@ -583,7 +559,7 @@ Var reciprocal(const Var& x) {
 
 Var square(const Var& x) {
   Tensor out =
-      unary_kernel("square", fuse::EOp::kSquare, x.value(),
+      unary_kernel("square", EOp::kSquare, x.value(),
                    [](float v) { return v * v; });
   return make_op_node("square", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
@@ -593,10 +569,10 @@ Var square(const Var& x) {
 
 Var clamp(const Var& x, float lo, float hi) {
   Tensor out = unary_kernel(
-      "clamp", fuse::EOp::kClamp, x.value(),
+      "clamp", EOp::kClamp, x.value(),
       [lo, hi](float v) { return v < lo ? lo : (v > hi ? hi : v); }, lo, hi);
   Tensor mask = unary_kernel(
-      "clamp_mask", fuse::EOp::kClampMask, x.value(),
+      "clamp_mask", EOp::kClampMask, x.value(),
       [lo, hi](float v) { return (v >= lo && v <= hi) ? 1.0f : 0.0f; }, lo,
       hi);
   Var mask_c = constant(std::move(mask));
@@ -734,10 +710,8 @@ Var sum_all(const Var& x) {
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(x.value());
     const int so = rec->note_output(out);
-    rec->push(
-        "sum_all", /*counted=*/true, {sx}, so,
-        [n, sx, so](float* const* S) { sum_all_loop(n, S[sx], S[so]); },
-        fuse::reduce_desc(fuse::EOp::kSumAll, n, 0));
+    rec->push("sum_all", /*counted=*/true, {sx}, so,
+              [n, sx, so](float* const* S) { sum_all_loop(n, S[sx], S[so]); });
   }
   Shape sx = x.shape();
   return make_op_node("sum_all", std::move(out), {x},
@@ -772,14 +746,10 @@ Var sum_dim(const Var& x, index_t dim, bool keepdim) {
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(x.value());
     const int so = rec->note_output(out);
-    rec->push(
-        "sum_dim", /*counted=*/true, {sx}, so,
-        [dim, rows, cols, sx, so](float* const* S) {
-          sum_dim_loop(dim, rows, cols, S[sx], S[so]);
-        },
-        fuse::reduce_desc(
-            dim == 0 ? fuse::EOp::kSumDim0 : fuse::EOp::kSumDim1,
-            rows * cols, cols));
+    rec->push("sum_dim", /*counted=*/true, {sx}, so,
+              [dim, rows, cols, sx, so](float* const* S) {
+                sum_dim_loop(dim, rows, cols, S[sx], S[so]);
+              });
   }
   Shape sx = x.shape();
   Shape mid = (dim == 0) ? Shape{1, cols} : Shape{rows, 1};
@@ -850,16 +820,10 @@ Var broadcast_to(const Var& x, const Shape& shape) {
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(xv);
     const int so = rec->note_output(out);
-    const fuse::Addr ba = mode == BMode::kFill
-                              ? fuse::Addr::kScalar
-                              : (mode == BMode::kRow ? fuse::Addr::kRow
-                                                     : fuse::Addr::kCol);
-    rec->push(
-        "broadcast", /*counted=*/true, {sx}, so,
-        [mode, rows, cols, n, sx, so](float* const* S) {
-          broadcast_loop(mode, rows, cols, n, S[sx], S[so]);
-        },
-        fuse::ew_broadcast(ba, n, mode == BMode::kFill ? 0 : cols));
+    rec->push("broadcast", /*counted=*/true, {sx}, so,
+              [mode, rows, cols, n, sx, so](float* const* S) {
+                broadcast_loop(mode, rows, cols, n, S[sx], S[so]);
+              });
   }
   Shape sx = x.shape();
   return make_op_node("broadcast", std::move(out), {x},
@@ -936,12 +900,10 @@ Var index_select0(const Var& x, std::vector<index_t> idx) {
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(xv);
     const int so = rec->note_output(out);
-    rec->push(
-        "index_select", /*counted=*/true, {sx}, so,
-        [idx_sp, rows, w, sx, so](float* const* S) {
-          index_select_loop(*idx_sp, rows, w, S[sx], S[so]);
-        },
-        fuse::gather_desc(idx_sp, rows, w));
+    rec->push("index_select", /*counted=*/true, {sx}, so,
+              [idx_sp, rows, w, sx, so](float* const* S) {
+                index_select_loop(*idx_sp, rows, w, S[sx], S[so]);
+              });
   }
   return make_op_node("index_select", std::move(out), {x},
                       [idx_sp, rows](const Var& g) -> std::vector<Var> {
@@ -964,12 +926,10 @@ Var index_add0(index_t rows, std::vector<index_t> idx, const Var& src) {
   if (auto* rec = replay::Recorder::active()) {
     const int ss = rec->note_input(sv);
     const int so = rec->note_output(out);
-    rec->push(
-        "index_add", /*counted=*/true, {ss}, so,
-        [idx_sp, rows, w, ss, so](float* const* S) {
-          index_add_loop(*idx_sp, rows, w, S[ss], S[so]);
-        },
-        fuse::scatter_desc(idx_sp, rows, w));
+    rec->push("index_add", /*counted=*/true, {ss}, so,
+              [idx_sp, rows, w, ss, so](float* const* S) {
+                index_add_loop(*idx_sp, rows, w, S[ss], S[so]);
+              });
   }
   return make_op_node("index_add", std::move(out), {src},
                       [idx_sp](const Var& g) -> std::vector<Var> {

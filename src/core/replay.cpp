@@ -152,22 +152,20 @@ void Recorder::tap(const Tensor& t) {
 }
 
 void Recorder::push(const char* op, bool counted, const std::vector<int>& ins,
-                    int out, StepFn fn, fuse::StepDesc desc) {
+                    int out, StepFn fn) {
   std::vector<int> outs;
   if (out >= 0) outs.push_back(out);
-  push_step(op, counted, ins, std::move(outs), std::move(fn), std::move(desc));
+  push_step(op, counted, ins, std::move(outs), std::move(fn));
 }
 
 void Recorder::push(const char* op, bool counted, const std::vector<int>& ins,
                     const std::vector<int>& outs, StepFn fn) {
-  push_step(op, counted, ins, outs, std::move(fn), fuse::StepDesc{});
+  push_step(op, counted, ins, outs, std::move(fn));
 }
 
 void Recorder::push_step(const char* op, bool counted,
                          const std::vector<int>& ins, std::vector<int> outs,
-                         StepFn fn, fuse::StepDesc desc) {
-  // Fingerprint mixes the *raw* tape (pre-fusion), so two captures of the
-  // same seeded step match whatever FASTCHG_FUSE says.
+                         StepFn fn) {
   fingerprint_ ^= 0x9e3779b97f4a7c15ull;
   KeyBuilder kb;
   kb.h = fingerprint_;
@@ -177,28 +175,19 @@ void Recorder::push_step(const char* op, bool counted,
   for (int s : ins) kb.mix(static_cast<std::uint64_t>(s));
   for (int o : outs) kb.mix(static_cast<std::uint64_t>(o) + 7u);
   fingerprint_ = kb.h;
-  fuse::TapeStep step;
-  step.op = op;
-  step.counted = counted;
-  step.ins = ins;
-  step.outs = std::move(outs);
-  step.desc = std::move(desc);
-  step.fn = std::move(fn);
-  tape_.push_back(std::move(step));
+  tape_.push_back(TapeEntry{op, counted, ins, std::move(outs), std::move(fn)});
 }
 
 void Recorder::note_accumulate(const Tensor& dst, const Tensor& src) {
   const int d = slot_for(dst, /*as_output=*/false);
   const int s = slot_for(src, /*as_output=*/false);
   const index_t n = dst.numel();
-  push(
-      "grad_accum", /*counted=*/false, {d, s}, d,
-      [d, s, n](float* const* S) {
-        float* dp = S[d];
-        const float* sp = S[s];
-        for (index_t i = 0; i < n; ++i) dp[i] += sp[i];
-      },
-      fuse::ew_accum(n));
+  push("grad_accum", /*counted=*/false, {d, s}, d,
+       [d, s, n](float* const* S) {
+         float* dp = S[d];
+         const float* sp = S[s];
+         for (index_t i = 0; i < n; ++i) dp[i] += sp[i];
+       });
 }
 
 int Recorder::note_input(const Tensor& t) {
@@ -213,33 +202,8 @@ std::shared_ptr<Program> Recorder::finish() {
   FASTCHG_CHECK(!finished_, "replay: Recorder::finish() called twice");
   finished_ = true;
 
-  std::uint64_t raw_counted = 0;
-  for (const auto& s : tape_) raw_counted += s.counted ? 1 : 0;
-
-  // Offline fusion stage: between capture and first replay, on the sealed
-  // tape.  Tap and bound slots are reservations the pass must keep
-  // materialized; baked slots are not `planned`, so they are never
-  // eliminated either.
-  fuse::FuseStats fstats;
-  if (fuse::fuse_enabled() && !tape_.empty()) {
-    std::vector<fuse::TapeSlot> fslots(slots_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      fslots[i].numel = slots_[i].numel;
-      fslots[i].planned = slots_[i].planned;
-    }
-    for (int ts : tap_slots_) {
-      fslots[static_cast<std::size_t>(ts)].reserved = true;
-    }
-    for (int bs : bound_slots_) {
-      if (bs >= 0) fslots[static_cast<std::size_t>(bs)].reserved = true;
-    }
-    fstats = fuse::fuse_tape(tape_, fslots);
-    perf::track_fuse(fstats.spans, fstats.kernels_removed);
-  }
-
-  // Lifetime scan over the (possibly fused) tape: a planned slot lives
-  // from its first to its last access.  Slots fusion eliminated are never
-  // touched by any remaining step, so they simply drop out of the plan.
+  // Lifetime scan over the tape: a planned slot lives from its first to its
+  // last access.
   struct Life {
     int def = -1;
     int last = -1;
@@ -266,9 +230,8 @@ std::shared_ptr<Program> Recorder::finish() {
     }
   }
 
-  // Lifetimes -> static plan.  Only planned slots (op outputs) that
-  // survived fusion get slab offsets; bound and baked slots keep external
-  // storage.
+  // Lifetimes -> static plan.  Only planned slots (op outputs) get slab
+  // offsets; bound and baked slots keep external storage.
   std::vector<BufferLife> lives;
   std::vector<int> planned_slots;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -282,8 +245,8 @@ std::shared_ptr<Program> Recorder::finish() {
   }
   MemPlan plan = plan_memory(std::move(lives));
 
-  // Replay kernel accounting reflects the fused tape (the fused-vs-raw gap
-  // *is* the measured win); aggregate per distinct op name as before.
+  // Replay kernel accounting: the tape's counted steps, aggregated per
+  // distinct op name.
   std::vector<std::pair<const char*, std::uint64_t>> counts;
   std::uint64_t counted = 0;
   for (const auto& s : tape_) {
@@ -309,10 +272,6 @@ std::shared_ptr<Program> Recorder::finish() {
   tape_.clear();
   prog->fingerprint_ = fingerprint_;
   prog->tier_ = tier_;
-  prog->fused_spans_ = fstats.spans;
-  prog->fused_kernels_removed_ = fstats.kernels_removed;
-  prog->fused_slots_eliminated_ = fstats.slots_eliminated;
-  prog->raw_counted_ = raw_counted;
   prog->counted_ = counted;
   prog->bound_slots_ = std::move(bound_slots_);
   prog->bound_numel_ = std::move(bound_numel_);
@@ -432,10 +391,6 @@ void ProgramCache::store(std::uint64_t key,
   auto it = entries_.find(key);
   if (it == entries_.end()) return;  // invalidated while capturing
   it->second.capturing = false;
-  if (program) {
-    stats_.fused_spans += program->fused_spans();
-    stats_.fused_kernels_removed += program->fused_kernels_removed();
-  }
   it->second.program = std::move(program);
   ++stats_.captures;
   perf::track_replay_capture();

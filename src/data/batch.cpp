@@ -1,7 +1,6 @@
 #include "data/batch.hpp"
 
 #include <cstring>
-#include <utility>
 
 #include "core/error.hpp"
 #include "core/replay.hpp"
@@ -20,19 +19,27 @@ Batch collate(const std::vector<const Sample*>& samples,
   }
   const index_t A = b.num_atoms, E = b.num_edges, S = b.num_structs;
 
-  // Dense per-atom/per-edge/per-struct tensors are staged in plain vectors
-  // (rows append in batch order, so every write below is a push_back) and
-  // adopted wholesale by Tensor::from_vector(&&) at the end -- one buffer
-  // per tensor, no element copy.  image_blockdiag is the exception: its
-  // writes scatter into a zero background, so it stays a zeros() tensor.
-  std::vector<float> cart_v, image_v, forces_v, magmom_v, energy_v, stress_v;
-  cart_v.reserve(static_cast<std::size_t>(A) * 3);
-  image_v.reserve(static_cast<std::size_t>(E) * 3);
+  // Dense per-atom/per-edge/per-struct tensors come from the current
+  // allocator up front and fill in batch order through write cursors, so
+  // collate's pool traffic never depends on where malloc put a staging
+  // buffer.  image_blockdiag's writes scatter into a zero background.
+  b.cart = Tensor::empty({A, 3});
+  b.edge_image = Tensor::empty({E, 3});
+  float* cart_w = b.cart.data();
+  float* image_w = b.edge_image.data();
+  float* forces_w = nullptr;
+  float* magmom_w = nullptr;
+  float* energy_w = nullptr;
+  float* stress_w = nullptr;
   if (with_labels) {
-    forces_v.reserve(static_cast<std::size_t>(A) * 3);
-    magmom_v.reserve(static_cast<std::size_t>(A));
-    energy_v.reserve(static_cast<std::size_t>(S));
-    stress_v.reserve(static_cast<std::size_t>(S) * 9);
+    b.energy_per_atom = Tensor::empty({S, 1});
+    b.forces = Tensor::empty({A, 3});
+    b.stress = Tensor::empty({S, 9});
+    b.magmom = Tensor::empty({A, 1});
+    energy_w = b.energy_per_atom.data();
+    forces_w = b.forces.data();
+    stress_w = b.stress.data();
+    magmom_w = b.magmom.data();
   }
   b.image_blockdiag = Tensor::zeros({E, 3 * S});
 
@@ -70,17 +77,16 @@ Batch collate(const std::vector<const Sample*>& samples,
     for (index_t i = 0; i < n; ++i) {
       const auto siz = static_cast<std::size_t>(i);
       for (int d = 0; d < 3; ++d) {
-        cart_v.push_back(static_cast<float>(cart[siz][d]));
+        *cart_w++ = static_cast<float>(cart[siz][d]);
         if (with_labels) {
-          forces_v.push_back(
-              has_forces ? static_cast<float>(c.forces[siz][d]) : 0.0f);
+          *forces_w++ =
+              has_forces ? static_cast<float>(c.forces[siz][d]) : 0.0f;
         }
       }
       b.species.push_back(c.species[siz]);
       b.atom_struct.push_back(si);
       if (with_labels) {
-        magmom_v.push_back(
-            has_magmom ? static_cast<float>(c.magmom[siz]) : 0.0f);
+        *magmom_w++ = has_magmom ? static_cast<float>(c.magmom[siz]) : 0.0f;
       }
     }
     for (index_t e = 0; e < ne; ++e) {
@@ -90,7 +96,7 @@ Batch collate(const std::vector<const Sample*>& samples,
       b.edge_struct.push_back(si);
       for (int d = 0; d < 3; ++d) {
         const float img = static_cast<float>(g.edge_image[se][d]);
-        image_v.push_back(img);
+        *image_w++ = img;
         b.image_blockdiag.data()[(edge_off + e) * 3 * S + 3 * si + d] = img;
       }
     }
@@ -102,11 +108,10 @@ Batch collate(const std::vector<const Sample*>& samples,
     }
 
     if (with_labels) {
-      energy_v.push_back(
-          static_cast<float>(c.energy / static_cast<double>(n)));
+      *energy_w++ = static_cast<float>(c.energy / static_cast<double>(n));
       for (int i = 0; i < 3; ++i)
         for (int j = 0; j < 3; ++j)
-          stress_v.push_back(static_cast<float>(c.stress[i][j]));
+          *stress_w++ = static_cast<float>(c.stress[i][j]);
     }
 
     atom_off += n;
@@ -115,15 +120,6 @@ Batch collate(const std::vector<const Sample*>& samples,
     b.atom_first.push_back(atom_off);
     b.edge_first.push_back(edge_off);
     b.angle_first.push_back(static_cast<index_t>(b.angle_e1.size()));
-  }
-
-  b.cart = Tensor::from_vector(std::move(cart_v), {A, 3});
-  b.edge_image = Tensor::from_vector(std::move(image_v), {E, 3});
-  if (with_labels) {
-    b.energy_per_atom = Tensor::from_vector(std::move(energy_v), {S, 1});
-    b.forces = Tensor::from_vector(std::move(forces_v), {A, 3});
-    b.stress = Tensor::from_vector(std::move(stress_v), {S, 9});
-    b.magmom = Tensor::from_vector(std::move(magmom_v), {A, 1});
   }
   return b;
 }

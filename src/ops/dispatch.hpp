@@ -5,7 +5,7 @@
 // variant compiled in its own translation unit with -mavx2 -mfma.  Which
 // one runs is a process-wide *tier*, resolved once at startup from a cpuid
 // probe plus the FASTCHG_SIMD environment override, mirroring the
-// FASTCHG_ALLOC / FASTCHG_REPLAY / FASTCHG_FUSE kill-switch idiom:
+// FASTCHG_ALLOC / FASTCHG_REPLAY kill-switch idiom:
 //
 //   FASTCHG_SIMD=auto    (default) AVX2 when the host supports AVX2+FMA
 //   FASTCHG_SIMD=scalar  force the scalar reference kernels everywhere
@@ -24,7 +24,7 @@
 //                     pure per-element ops), gather rows, scatter-add rows
 //                     (row order preserved), column-wise sum_dim0 (per-
 //                     column accumulation order preserved).  The serve
-//                     path's pool/replay/fuse 0.0-diff gates ride only on
+//                     path's pool/replay 0.0-diff gates ride only on
 //                     these.
 //   tolerance-gated   reassociating reductions (sum_all on wide lanes),
 //                     FMA GEMMs, and polynomial transcendentals (basis
@@ -54,10 +54,6 @@ bool avx2_supported();
 
 /// "scalar" / "avx2" (trace + bench labels).
 const char* tier_name(Tier t);
-
-/// Vector width (floats) of the widest tier; chunked interpreters round
-/// sub-chunk boundaries to this so vector rows never straddle a chunk.
-inline constexpr int kVecWidth = 8;
 
 namespace detail {
 /// Defined by eltwise_avx2.cpp: true when the _avx2 translation units were

@@ -3,7 +3,7 @@
 // variant evaluates the identical IEEE-754 single-precision expression per
 // element (mul-then-add, never FMA; vdivps/vsqrtps are correctly rounded),
 // so scalar and AVX2 tiers produce bitwise identical outputs for any input
-// including NaN/Inf.  The pool/replay/fuse 0.0-diff gates may therefore run
+// including NaN/Inf.  The pool/replay 0.0-diff gates may therefore run
 // under either tier.
 //
 // All entry points tolerate unaligned and aliased pointers (o may equal a

@@ -3,8 +3,8 @@
 // the exact IEEE-754 single-precision expression of its scalar reference
 // (vaddps/vsubps/vmulps/vdivps/vsqrtps are correctly rounded; axpy is an
 // explicit mul *then* add, never contracted to FMA), so the two tiers are
-// bitwise identical -- the property the pool/replay/fuse 0.0-diff gates
-// ride on.  Tails run the scalar reference loop, which is per-element
+// bitwise identical -- the property the pool/replay 0.0-diff gates ride
+// on.  Tails run the scalar reference loop, which is per-element
 // identical by the same argument.
 //
 // On toolchains that cannot build AVX2 this TU degrades to forwarding

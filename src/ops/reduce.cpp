@@ -32,7 +32,7 @@ void sum_dim1(index_t rows, index_t cols, const float* x, float* o) {
 
 double sum_all(index_t n, const float* x) {
   // Pinned: serial double accumulation is part of the bit-exactness
-  // contract shared with the fused-span interpreter.
+  // contract (ops/reduce.hpp).
   return scalar::sum_all(n, x);
 }
 

@@ -7,11 +7,9 @@
 //    change any column's accumulation order.
 //  - sum_all and sum_dim1 are *pinned to the scalar reference at every
 //    tier*: the reference accumulates serially in double, and any 8-wide
-//    reassociation produces different partial sums.  The replay/fusion
-//    interpreter carries the same serial double accumulator across column
-//    sub-chunks, and the exact-0.0 fuse-vs-eager gates depend on every
-//    path agreeing bit-for-bit -- so the dispatching entry points below
-//    always run the scalar kernel.  The avx2:: variants exist only for the
+//    reassociation produces different partial sums.  The exact-0.0
+//    replay-vs-eager gates depend on every tier agreeing bit-for-bit --
+//    so the dispatching entry points below always run the scalar kernel.  The avx2:: variants exist only for the
 //    differential tests and the bench (tolerance-gated there).
 #pragma once
 

@@ -11,6 +11,7 @@
 //     integrity checks, run under the ASan/UBSan CI matrix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -248,13 +249,47 @@ TEST_F(AllocTest, PoolOutlivesItsHandleWhileBlocksLive) {
 }
 
 TEST_F(AllocTest, FromVectorMoveAdoptsBufferZeroCopy) {
-  std::vector<float> v = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
-  const float* buf = v.data();
-  Tensor t = Tensor::from_vector(std::move(v), {2, 3});
-  EXPECT_EQ(t.data(), buf);                  // same buffer, no copy
-  EXPECT_EQ(t.source_allocator(), nullptr);  // adopted, not allocator-backed
-  EXPECT_EQ(t.numel(), 6);
-  EXPECT_EQ(t.data()[5], 6.0f);
+  // from_vector(&&) adopts the vector's buffer only when it already meets
+  // the 64-byte arena contract, and copies it otherwise.  malloc decides
+  // which case a vector lands in, so hold vectors of varied sizes until
+  // one of each kind turns up.
+  std::vector<std::vector<float>> held;
+  held.reserve(256);  // no reallocation: the pointers below stay valid
+  std::vector<float>* aligned = nullptr;
+  std::vector<float>* misaligned = nullptr;
+  for (std::size_t i = 0; i < 256; ++i) {
+    std::vector<float>& v = held.emplace_back(1 + i % 37);
+    for (std::size_t k = 0; k < v.size(); ++k) {
+      v[k] = static_cast<float>(i) + 0.25f * static_cast<float>(k);
+    }
+    const bool on_boundary =
+        reinterpret_cast<std::uintptr_t>(v.data()) % alloc::kArenaAlign == 0;
+    if (on_boundary && aligned == nullptr) aligned = &v;
+    if (!on_boundary && misaligned == nullptr) misaligned = &v;
+    if (aligned != nullptr && misaligned != nullptr) break;
+  }
+  ASSERT_NE(aligned, nullptr) << "no 64-byte-aligned vector among 256";
+  ASSERT_NE(misaligned, nullptr) << "no misaligned vector among 256";
+
+  const std::vector<float> want_a = *aligned;
+  const float* buf_a = aligned->data();
+  const auto na = static_cast<index_t>(want_a.size());
+  Tensor a = Tensor::from_vector(std::move(*aligned), {na});
+  EXPECT_EQ(a.data(), buf_a);                // same buffer, no copy
+  EXPECT_EQ(a.source_allocator(), nullptr);  // adopted, not allocator-backed
+  ASSERT_EQ(a.numel(), na);
+  for (index_t k = 0; k < na; ++k) EXPECT_EQ(a.data()[k], want_a[k]);
+
+  const std::vector<float> want_m = *misaligned;
+  const float* buf_m = misaligned->data();
+  const auto nm = static_cast<index_t>(want_m.size());
+  Tensor m = Tensor::from_vector(std::move(*misaligned), {nm});
+  EXPECT_NE(m.data(), buf_m);  // copied
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % alloc::kArenaAlign,
+            0u);
+  EXPECT_NE(m.source_allocator(), nullptr);  // allocator-backed copy
+  ASSERT_EQ(m.numel(), nm);
+  for (index_t k = 0; k < nm; ++k) EXPECT_EQ(m.data()[k], want_m[k]);
 }
 
 TEST_F(AllocTest, FromVectorMoveTracksLogicalBytes) {

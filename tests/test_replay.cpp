@@ -1,15 +1,20 @@
 // Recorded-step replay (core/replay.hpp + core/memplan.hpp) coverage:
 //
 //   * memory planner: hand-built nested/disjoint lifetime patterns hit the
-//     max-live lower bound exactly, and seeded random lifetime sets always
-//     pass the brute-force plan_valid() checker;
+//     max-live lower bound exactly, and seeded random lifetime sets
+//     (overlapping, nested, zero-length, empty) always pass the
+//     brute-force plan_valid() checker with 64-byte-aligned offsets;
 //   * capture: two recordings of the same step produce identical
 //     fingerprints, and a captured program's plan is valid and tracked in
-//     the replay_plan_bytes gauge;
+//     the replay_plan_bytes gauge, without drift across invalidate ->
+//     recapture cycles;
 //   * replay: bit-exact (max |diff| == 0.0) against eager for a raw op
 //     sequence, the single-device trainer (weights + Adam state via
 //     checkpoint byte identity), every data-parallel replica, and the fused
 //     serve forward -- each over >= 10 consecutive steps;
+//   * golden tapes: exact counted kernels for the trainer, serve and DP
+//     programs at a fixed topology, and a replayed step launches exactly
+//     the kernels its eager step does;
 //   * cache protocol: eager -> capture -> replay warm-up, LRU eviction,
 //     invalidate-and-recapture, bind rejection on shape mismatch or a
 //     replaced stable pointer, and full inertness when replay is disabled;
@@ -137,22 +142,77 @@ TEST_F(ReplayTest, PlanNestedLifetimesHitLowerBound) {
       << "disjoint scratch buffers should share bytes";
 }
 
-TEST_F(ReplayTest, PlanRandomLifetimesAlwaysValid) {
-  std::mt19937_64 rng(20250808u);
-  for (int iter = 0; iter < 50; ++iter) {
-    const int n = 1 + static_cast<int>(rng() % 40);
-    std::vector<BufferLife> lives;
-    lives.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      BufferLife b;
-      b.bytes = 4 * (1 + rng() % 300);
-      b.def = static_cast<int>(rng() % 100);
-      b.last = b.def + static_cast<int>(rng() % 30);
-      lives.push_back(b);
+/// 1-40 arbitrarily overlapping lifetimes.
+std::vector<BufferLife> overlapping_lives(std::mt19937_64& rng) {
+  const int n = 1 + static_cast<int>(rng() % 40);
+  std::vector<BufferLife> lives;
+  for (int i = 0; i < n; ++i) {
+    BufferLife b;
+    b.bytes = 4 * (1 + rng() % 300);
+    b.def = static_cast<int>(rng() % 100);
+    b.last = b.def + static_cast<int>(rng() % 30);
+    lives.push_back(b);
+  }
+  return lives;
+}
+
+/// 0-59 lifetimes mixing zero-length intervals (def == last), intervals
+/// nested inside an earlier one, and arbitrary overlaps.
+std::vector<BufferLife> mixed_lives(std::mt19937_64& rng) {
+  const int n = static_cast<int>(rng() % 60);
+  std::vector<BufferLife> lives;
+  for (int i = 0; i < n; ++i) {
+    BufferLife b;
+    b.bytes = 4 * (1 + rng() % 400);
+    switch (rng() % 4) {
+      case 0:  // zero-length lifetime
+        b.def = static_cast<int>(rng() % 50);
+        b.last = b.def;
+        break;
+      case 1:  // nested inside a previous interval when one exists
+        if (!lives.empty()) {
+          const BufferLife& outer =
+              lives[static_cast<std::size_t>(rng() % lives.size())];
+          b.def = outer.def + static_cast<int>(rng() % 3);
+          b.last = std::max(b.def, outer.last - static_cast<int>(rng() % 3));
+          break;
+        }
+        [[fallthrough]];
+      default:  // arbitrary overlap
+        b.def = static_cast<int>(rng() % 50);
+        b.last = b.def + static_cast<int>(rng() % 25);
+        break;
     }
+    lives.push_back(b);
+  }
+  return lives;
+}
+
+TEST_F(ReplayTest, PlanRandomLifetimesAlwaysValid) {
+  // 50 overlapping sets from one stream, then 300 mixed sets with their own
+  // logged seeds.  A plan never admits an overlap (brute force), keeps every
+  // offset 64-byte aligned, and never beats the max-live lower bound.
+  std::mt19937_64 overlap_rng(20250808u);
+  for (int iter = 0; iter < 350; ++iter) {
+    std::vector<BufferLife> lives;
+    std::string input;
+    if (iter < 50) {
+      input = "overlapping iter=" + std::to_string(iter);
+      lives = overlapping_lives(overlap_rng);
+    } else {
+      const std::uint64_t seed =
+          0xbeef0000u + static_cast<std::uint64_t>(iter - 50);
+      input = "mixed seed=" + std::to_string(seed);
+      std::mt19937_64 rng(seed);
+      lives = mixed_lives(rng);
+    }
+    SCOPED_TRACE(input);
     const MemPlan plan = replay::plan_memory(lives);
-    EXPECT_TRUE(replay::plan_valid(plan)) << "iter " << iter;
-    EXPECT_GE(plan.slab_bytes, plan.lower_bound_bytes) << "iter " << iter;
+    ASSERT_TRUE(replay::plan_valid(plan));
+    for (const BufferLife& b : plan.buffers) {
+      ASSERT_EQ(b.offset % 64, 0u);
+    }
+    ASSERT_GE(plan.slab_bytes, plan.lower_bound_bytes);
   }
 }
 
@@ -332,6 +392,51 @@ TEST_F(ReplayTest, CacheInvalidateForcesRecapture) {
   // The failed-bind sighting counts as the fresh eager pass, so the very
   // next sighting re-captures.
   EXPECT_EQ(cache.acquire(key).action, ProgramCache::Action::kCapture);
+}
+
+TEST_F(ReplayTest, PlanBytesGaugeDoesNotDriftAcrossInvalidateRecapture) {
+  replay::set_replay_enabled(true);
+  const std::uint64_t base =
+      perf::counters().snapshot().replay_plan_bytes;
+  std::mt19937_64 rng(0x9a6eu);
+  const std::uint64_t key = 0x60'1de'11u;
+  {
+    ProgramCache cache(4);
+    (void)cache.acquire(key);
+    ASSERT_EQ(cache.acquire(key).action, ProgramCache::Action::kCapture);
+    cache.store(key, capture_tiny(random_square(rng, 4),
+                                  random_square(rng, 4)));
+    std::uint64_t with_program = 0;
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE("round=" + std::to_string(round));
+      std::uint64_t pb = 0;
+      {
+        // Scope the snapshot: a lingering shared_ptr would keep the slab
+        // alive through the invalidate below.
+        const auto programs = cache.programs();
+        ASSERT_EQ(programs.size(), 1u);
+        pb = programs[0]->plan_bytes();
+      }
+      const std::uint64_t now =
+          perf::counters().snapshot().replay_plan_bytes;
+      ASSERT_EQ(now, base + pb);
+      if (round == 0) {
+        with_program = now;
+      } else {
+        ASSERT_EQ(now, with_program) << "gauge drifted across recapture";
+      }
+      // Invalidate: the program (and its slab) must leave the gauge.
+      cache.invalidate(key);
+      ASSERT_EQ(perf::counters().snapshot().replay_plan_bytes, base);
+      // Self-heal: the invalidated sighting counted as the eager pass, so
+      // the very next sighting re-captures.
+      ASSERT_EQ(cache.acquire(key).action, ProgramCache::Action::kCapture);
+      cache.store(key, capture_tiny(random_square(rng, 4),
+                                    random_square(rng, 4)));
+    }
+  }
+  // Cache destroyed: everything returns to baseline.
+  EXPECT_EQ(perf::counters().snapshot().replay_plan_bytes, base);
 }
 
 TEST_F(ReplayTest, CacheSightingTableStaysFlatOnUniqueKeys) {
@@ -598,6 +703,111 @@ TEST_F(ReplayTest, ServeReplayOffMatchesOnExactly) {
   const std::vector<double> off = run_engine(false);
   ASSERT_EQ(on.size(), off.size());
   for (std::size_t i = 0; i < on.size(); ++i) EXPECT_EQ(on[i], off[i]) << i;
+}
+
+// ---------------------------------------------------------------------------
+// Golden tapes: exact counted kernels at a fixed topology
+// ---------------------------------------------------------------------------
+
+// Counted kernels on the trainer, serve and DP tapes for the fixed
+// topologies below (identical_rows + tiny_config).  They change only when
+// the model's op schedule changes -- update them deliberately.
+constexpr std::uint64_t kGoldenTrainerKernels = 3585;
+constexpr std::uint64_t kGoldenServeKernels = 1215;
+constexpr std::uint64_t kGoldenDpKernels = 2501;
+
+/// kernel_launches added while `step` runs.
+template <class F>
+std::uint64_t launches_during(F&& step) {
+  const std::uint64_t before = perf::counters().snapshot().kernel_launches;
+  step();
+  return perf::counters().snapshot().kernel_launches - before;
+}
+
+TEST_F(ReplayTest, GoldenTrainerTapeCountsItsEagerKernels) {
+  replay::set_replay_enabled(true);
+  data::Dataset ds = identical_rows(12, 51);
+  model::CHGNet net(tiny_config(), 9);
+  train::TrainConfig tc;
+  tc.batch_size = 4;
+  tc.epochs = 4;
+  train::Trainer trainer(net, tc);
+  trainer.fit(ds, all_rows(ds));
+  const auto programs = trainer.replay_cache().programs();
+  ASSERT_EQ(programs.size(), 1u);
+  EXPECT_EQ(programs[0]->counted_kernels(), kGoldenTrainerKernels);
+
+  // One more batch of the same topology, replayed, then eager.
+  const std::vector<index_t> batch = {0, 1, 2, 3};
+  const std::uint64_t hits = trainer.replay_cache().stats().hits;
+  const std::uint64_t replayed =
+      launches_during([&] { trainer.train_epoch(ds, batch, 4); });
+  ASSERT_EQ(trainer.replay_cache().stats().hits, hits + 1);
+  replay::set_replay_enabled(false);
+  const std::uint64_t eager =
+      launches_during([&] { trainer.train_epoch(ds, batch, 5); });
+  EXPECT_EQ(replayed, eager);
+  EXPECT_EQ(eager, kGoldenTrainerKernels);
+}
+
+TEST_F(ReplayTest, GoldenServeTapeCountsItsEagerKernels) {
+  replay::set_replay_enabled(true);
+  data::Dataset ds = identical_rows(4, 81);
+  model::CHGNet net(tiny_config(), 12);
+  serve::EngineConfig cfg;
+  cfg.max_batch = 4;
+  cfg.cache_capacity = 0;
+  serve::InferenceEngine engine(net, cfg);
+  const auto tick = [&] {
+    for (index_t i = 0; i < ds.size(); ++i) {
+      ASSERT_TRUE(engine.submit(ds[i].crystal).ok());
+    }
+    for (const auto& r : engine.drain()) ASSERT_TRUE(r.ok());
+  };
+  for (int i = 0; i < 4; ++i) tick();
+  const auto programs = engine.replay_cache().programs();
+  ASSERT_EQ(programs.size(), 1u);
+  EXPECT_EQ(programs[0]->counted_kernels(), kGoldenServeKernels);
+
+  // One more micro-batch of the same four crystals, replayed, then eager.
+  const std::uint64_t hits = engine.replay_cache().stats().hits;
+  const std::uint64_t replayed = launches_during(tick);
+  ASSERT_EQ(engine.replay_cache().stats().hits, hits + 1);
+  replay::set_replay_enabled(false);
+  const std::uint64_t eager = launches_during(tick);
+  EXPECT_EQ(replayed, eager);
+  EXPECT_EQ(eager, kGoldenServeKernels);
+}
+
+TEST_F(ReplayTest, GoldenDataParallelTapeCountsItsEagerKernels) {
+  replay::set_replay_enabled(true);
+  data::Dataset ds = identical_rows(16, 71);
+  parallel::DataParallelConfig cfg;
+  cfg.num_devices = 2;
+  cfg.global_batch = 4;
+  parallel::DataParallelTrainer dp(tiny_config(), cfg, 17);
+  for (index_t e = 0; e < 3; ++e) dp.train_epoch(ds, all_rows(ds), e);
+  for (int d = 0; d < 2; ++d) {
+    const auto programs = dp.replay_cache(d).programs();
+    ASSERT_EQ(programs.size(), 1u) << "device " << d;
+    EXPECT_EQ(programs[0]->counted_kernels(), kGoldenDpKernels)
+        << "device " << d;
+  }
+
+  // One more iteration (two structures per device), replayed on both
+  // devices, then eager.
+  const std::vector<index_t> batch = {0, 1, 2, 3};
+  const std::uint64_t hits0 = dp.replay_cache(0).stats().hits;
+  const std::uint64_t hits1 = dp.replay_cache(1).stats().hits;
+  const std::uint64_t replayed =
+      launches_during([&] { dp.train_epoch(ds, batch, 3); });
+  ASSERT_EQ(dp.replay_cache(0).stats().hits, hits0 + 1);
+  ASSERT_EQ(dp.replay_cache(1).stats().hits, hits1 + 1);
+  replay::set_replay_enabled(false);
+  const std::uint64_t eager =
+      launches_during([&] { dp.train_epoch(ds, batch, 4); });
+  EXPECT_EQ(replayed, eager);
+  EXPECT_EQ(eager, 2 * kGoldenDpKernels);
 }
 
 // ---------------------------------------------------------------------------

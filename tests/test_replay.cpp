@@ -15,6 +15,13 @@
 //   * golden tapes: exact counted kernels for the trainer, serve and DP
 //     programs at a fixed topology, and a replayed step launches exactly
 //     the kernels its eager step does;
+//   * random op chains (gathers, scatters, reductions, broadcasts,
+//     matmuls): every tap of every replay byte-identical to eager, tapped
+//     intermediates keep their value, and each tape counts exactly its
+//     eager kernels;
+//   * elementwise sweep: every elementwise op under every broadcast
+//     pattern, forward plus first-order gradient, replay vs eager bytes
+//     and launch counts;
 //   * cache protocol: eager -> capture -> replay warm-up, LRU eviction,
 //     invalidate-and-recapture, bind rejection on shape mismatch or a
 //     replaced stable pointer, and full inertness when replay is disabled;
@@ -27,6 +34,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <string>
@@ -809,6 +817,398 @@ TEST_F(ReplayTest, GoldenDataParallelTapeCountsItsEagerKernels) {
   EXPECT_EQ(replayed, eager);
   EXPECT_EQ(eager, 2 * kGoldenDpKernels);
 }
+
+// ---------------------------------------------------------------------------
+// Random op chains: replay vs eager
+// ---------------------------------------------------------------------------
+
+Tensor random_tensor(std::mt19937_64& rng, const Shape& shape, float lo = -1.0f,
+                     float hi = 1.0f) {
+  index_t n = 1;
+  for (index_t d : shape) n *= d;
+  std::vector<float> v(static_cast<std::size_t>(n));
+  std::uniform_real_distribution<float> dist(lo, hi);
+  for (float& f : v) f = dist(rng);
+  return Tensor::from_vector(std::move(v), shape);
+}
+
+/// Bit-level equality: NaNs with identical payloads compare equal, so a
+/// deterministic non-finite excursion in a random chain still matches.
+void expect_bytes_equal(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.numel(), b.numel()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Deterministic random op chain over three leaves: X [N,C] (working set),
+/// T [R,C] (gather table), W [C,C] (matmul operand).  The structure (which
+/// ops, which indices) comes from `structure_seed`; the float payloads come
+/// from the leaves, so one structure can be replayed over many batches.
+/// Returns the tapped tensors: reduction outputs, scatter results and the
+/// final value.
+struct ChainSpec {
+  std::uint64_t structure_seed = 0;
+  index_t n = 6;
+  index_t c = 5;
+  index_t r = 4;
+  int num_ops = 18;
+};
+
+std::vector<Tensor> eval_chain(const ChainSpec& cs, const Tensor& x,
+                               const Tensor& t, const Tensor& w) {
+  std::mt19937_64 rng(cs.structure_seed);
+  ag::Var vt = ag::ops::constant(t);
+  ag::Var vw = ag::ops::constant(w);
+  std::vector<ag::Var> pool;  // every entry is [N,C]
+  pool.push_back(ag::ops::constant(x));
+  std::vector<Tensor> taps;
+  auto pick = [&]() -> const ag::Var& {
+    return pool[static_cast<std::size_t>(rng() % pool.size())];
+  };
+  for (int k = 0; k < cs.num_ops; ++k) {
+    switch (rng() % 12) {
+      case 0: {  // gather fresh rows from the table
+        std::vector<index_t> idx(static_cast<std::size_t>(cs.n));
+        for (index_t& v : idx) v = static_cast<index_t>(rng() % cs.r);
+        pool.push_back(ag::ops::index_select0(vt, std::move(idx)));
+        break;
+      }
+      case 1: {  // scatter-add the value into R rows
+        std::vector<index_t> idx(static_cast<std::size_t>(cs.n));
+        for (index_t& v : idx) v = static_cast<index_t>(rng() % cs.r);
+        taps.push_back(
+            ag::ops::index_add0(cs.r, std::move(idx), pick()).value());
+        break;
+      }
+      case 2:  // reductions
+        taps.push_back(ag::ops::sum_all(pick()).value());
+        break;
+      case 3:
+        taps.push_back(
+            ag::ops::sum_dim(pick(), static_cast<index_t>(rng() % 2),
+                             /*keepdim=*/false)
+                .value());
+        break;
+      case 4: {  // binary, same shape
+        const ag::Var& a = pick();
+        const ag::Var& b = pick();
+        switch (rng() % 3) {
+          case 0:
+            pool.push_back(ag::ops::add(a, b));
+            break;
+          case 1:
+            pool.push_back(ag::ops::sub(a, b));
+            break;
+          default:
+            pool.push_back(ag::ops::mul(a, b));
+            break;
+        }
+        break;
+      }
+      case 5: {  // broadcast binary: row / col / scalar operand from a
+                 // reduction of another pool value
+        const ag::Var& a = pick();
+        const ag::Var& b = pick();
+        switch (rng() % 3) {
+          case 0:
+            pool.push_back(
+                ag::ops::mul(a, ag::ops::sum_dim(b, 0, /*keepdim=*/true)));
+            break;
+          case 1:
+            pool.push_back(
+                ag::ops::add(a, ag::ops::sum_dim(b, 1, /*keepdim=*/true)));
+            break;
+          default:
+            pool.push_back(ag::ops::add(a, ag::ops::sum_all(b)));
+            break;
+        }
+        break;
+      }
+      case 6:
+        pool.push_back(ag::ops::matmul(pick(), vw));
+        break;
+      default: {  // elementwise unary (bounded ones keep values tame)
+        const ag::Var& a = pick();
+        switch (rng() % 8) {
+          case 0:
+            pool.push_back(ag::ops::tanh_op(a));
+            break;
+          case 1:
+            pool.push_back(ag::ops::sigmoid(a));
+            break;
+          case 2:
+            pool.push_back(ag::ops::silu(a));
+            break;
+          case 3:
+            pool.push_back(ag::ops::neg(a));
+            break;
+          case 4:
+            pool.push_back(ag::ops::sin_op(a));
+            break;
+          case 5:
+            pool.push_back(ag::ops::mul_scalar(a, 0.5f));
+            break;
+          case 6:
+            pool.push_back(ag::ops::clamp(a, -2.0f, 2.0f));
+            break;
+          default:
+            pool.push_back(ag::ops::square(a));
+            break;
+        }
+        break;
+      }
+    }
+  }
+  taps.push_back(pool.back().value());
+  return taps;
+}
+
+std::shared_ptr<Program> capture_chain(const ChainSpec& cs, const Tensor& x,
+                                       const Tensor& t, const Tensor& w) {
+  Recorder rec;
+  rec.bind_input(x);
+  rec.bind_input(t);
+  rec.bind_input(w);
+  std::vector<Tensor> taps;
+  {
+    RecorderScope scope(rec);
+    taps = eval_chain(cs, x, t, w);
+  }
+  for (const Tensor& tap : taps) rec.tap(tap);
+  return rec.finish();
+}
+
+ChainSpec chain_spec(std::uint64_t structure) {
+  ChainSpec cs;
+  cs.structure_seed = 0xc0ffee00u + structure;
+  return cs;
+}
+
+TEST_F(ReplayTest, DifferentialRandomChainsReplayVsEager) {
+  // Gathers, scatters, reductions, broadcasts and matmuls in seeded random
+  // order: every tap of every replay is byte-identical to an eager
+  // re-evaluation on the same fresh inputs.
+  replay::set_replay_enabled(true);
+  for (std::uint64_t structure = 0; structure < 20; ++structure) {
+    const ChainSpec cs = chain_spec(structure);
+    SCOPED_TRACE("structure_seed=" + std::to_string(cs.structure_seed));
+    std::mt19937_64 rng(cs.structure_seed * 31 + 1);
+    const Tensor x0 = random_tensor(rng, {cs.n, cs.c});
+    const Tensor t0 = random_tensor(rng, {cs.r, cs.c});
+    const Tensor w0 = random_tensor(rng, {cs.c, cs.c});
+    const auto program = capture_chain(cs, x0, t0, w0);
+    EXPECT_TRUE(replay::plan_valid(program->plan()));
+    EXPECT_EQ(program->fingerprint(),
+              capture_chain(cs, x0, t0, w0)->fingerprint());
+
+    for (int rep = 0; rep < 3; ++rep) {
+      const Tensor x = random_tensor(rng, {cs.n, cs.c});
+      const Tensor t = random_tensor(rng, {cs.r, cs.c});
+      const Tensor w = random_tensor(rng, {cs.c, cs.c});
+      ASSERT_TRUE(program->bind({x, t, w}, {}));
+      program->run();
+      const std::vector<Tensor> eager = eval_chain(cs, x, t, w);
+      ASSERT_EQ(program->tap_count(), eager.size());
+      for (std::size_t i = 0; i < eager.size(); ++i) {
+        expect_bytes_equal(program->tap_value(i), eager[i], "replay vs eager");
+      }
+    }
+  }
+}
+
+TEST_F(ReplayTest, RandomChainReplayLaunchesItsEagerKernels) {
+  // One kernel count: a chain's tape counts exactly the kernels its eager
+  // evaluation launches, and one run() adds exactly that many launches.
+  replay::set_replay_enabled(true);
+  for (std::uint64_t structure = 0; structure < 20; ++structure) {
+    const ChainSpec cs = chain_spec(structure);
+    SCOPED_TRACE("structure_seed=" + std::to_string(cs.structure_seed));
+    std::mt19937_64 rng(cs.structure_seed * 17 + 3);
+    const Tensor x = random_tensor(rng, {cs.n, cs.c});
+    const Tensor t = random_tensor(rng, {cs.r, cs.c});
+    const Tensor w = random_tensor(rng, {cs.c, cs.c});
+    const auto program = capture_chain(cs, x, t, w);
+    const std::uint64_t eager =
+        launches_during([&] { eval_chain(cs, x, t, w); });
+    ASSERT_TRUE(program->bind({x, t, w}, {}));
+    const std::uint64_t replayed = launches_during([&] { program->run(); });
+    EXPECT_GT(eager, 0u);
+    EXPECT_EQ(program->counted_kernels(), eager);
+    EXPECT_EQ(replayed, eager);
+  }
+}
+
+TEST_F(ReplayTest, TappedIntermediateKeepsItsValue) {
+  // The tapped `mid` is last read early in the step; without the tap pin,
+  // the planner would hand its bytes to a later intermediate and the copy
+  // taken after run() would read someone else's data.
+  replay::set_replay_enabled(true);
+  const auto step = [](const Tensor& x) {
+    ag::Var mid = ag::ops::tanh_op(ag::ops::constant(x));
+    ag::Var a = ag::ops::mul_scalar(ag::ops::square(mid), 0.25f);
+    ag::Var b = ag::ops::sin_op(a);
+    ag::Var out = ag::ops::add(ag::ops::silu(b), a);
+    return std::vector<Tensor>{mid.value(), out.value()};
+  };
+  std::mt19937_64 rng(99u);
+  const Tensor x0 = random_tensor(rng, {8, 3});
+  Recorder rec;
+  rec.bind_input(x0);
+  std::vector<Tensor> taps;
+  {
+    RecorderScope scope(rec);
+    taps = step(x0);
+  }
+  for (const Tensor& tap : taps) rec.tap(tap);
+  const auto program = rec.finish();
+  EXPECT_TRUE(replay::plan_valid(program->plan()));
+
+  for (int rep = 0; rep < 5; ++rep) {
+    const Tensor x = random_tensor(rng, {8, 3});
+    ASSERT_TRUE(program->bind({x}, {}));
+    program->run();
+    const std::vector<Tensor> eager = step(x);
+    ASSERT_EQ(program->tap_count(), 2u);
+    expect_bytes_equal(program->tap_value(0), eager[0], "tapped mid");
+    expect_bytes_equal(program->tap_value(1), eager[1], "final");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Elementwise op sweep: forward and first-order backward, replay vs eager
+// ---------------------------------------------------------------------------
+
+/// One elementwise op under test.  Binary ops run every broadcast pattern
+/// the kernels dispatch on; unary ops draw inputs from [lo, hi], a domain
+/// where the op and its derivative are finite.
+struct EltwiseCase {
+  const char* name;
+  ag::Var (*unary)(const ag::Var&);
+  ag::Var (*binary)(const ag::Var&, const ag::Var&);
+  float lo;
+  float hi;
+};
+
+void PrintTo(const EltwiseCase& c, std::ostream* os) { *os << c.name; }
+
+/// (a, b) shapes for every broadcast pattern: same, row, [1,C] row, column
+/// and scalar operand, on either side.
+const std::vector<std::pair<Shape, Shape>>& broadcast_shapes() {
+  static const std::vector<std::pair<Shape, Shape>> shapes = {
+      {{4, 3}, {4, 3}}, {{4, 3}, {3}}, {{4, 3}, {1, 3}}, {{4, 3}, {4, 1}},
+      {{4, 3}, {1}},    {{3}, {4, 3}}, {{1, 3}, {4, 3}}, {{4, 1}, {4, 3}},
+      {{1}, {4, 3}}};
+  return shapes;
+}
+
+std::string shape_str(const Shape& s) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(s[i]);
+  }
+  return out + "]";
+}
+
+/// Forward value plus d(sum(y^2))/d(operand) for every operand: the
+/// backward runs first-order, so it exercises the NoGrad backward kernels
+/// the trainer replays.
+std::vector<Tensor> eltwise_step(const EltwiseCase& c,
+                                 const std::vector<Tensor>& in) {
+  std::vector<ag::Var> vars;
+  for (const Tensor& t : in) vars.emplace_back(t, /*requires_grad=*/true);
+  const ag::Var y = c.unary != nullptr ? c.unary(vars[0])
+                                       : c.binary(vars[0], vars[1]);
+  const std::vector<ag::Var> grads =
+      ag::grad(ag::ops::sum_all(ag::ops::square(y)), vars);
+  std::vector<Tensor> out = {y.value()};
+  for (const ag::Var& g : grads) out.push_back(g.value());
+  return out;
+}
+
+class ReplayEltwiseSweep : public ReplayTest,
+                           public ::testing::WithParamInterface<EltwiseCase> {
+};
+
+TEST_P(ReplayEltwiseSweep, ForwardAndGradBitExactWithEagerKernelCount) {
+  const EltwiseCase& c = GetParam();
+  replay::set_replay_enabled(true);
+  std::vector<std::pair<Shape, Shape>> shapes = {{{4, 3}, {}}};
+  if (c.binary != nullptr) shapes = broadcast_shapes();
+  replay::KeyBuilder seed;
+  seed.mix_bytes(c.name, std::strlen(c.name));
+  std::mt19937_64 rng(seed.h);
+  for (const auto& [sa, sb] : shapes) {
+    const auto inputs = [&] {
+      std::vector<Tensor> in = {random_tensor(rng, sa, c.lo, c.hi)};
+      if (c.binary != nullptr) in.push_back(random_tensor(rng, sb, c.lo, c.hi));
+      return in;
+    };
+    SCOPED_TRACE("a " + shape_str(sa) + " b " + shape_str(sb));
+    const std::vector<Tensor> in0 = inputs();
+    Recorder rec;
+    for (const Tensor& t : in0) rec.bind_input(t);
+    std::vector<Tensor> taps;
+    {
+      RecorderScope scope(rec);
+      taps = eltwise_step(c, in0);
+    }
+    for (const Tensor& tap : taps) rec.tap(tap);
+    const auto program = rec.finish();
+    EXPECT_TRUE(replay::plan_valid(program->plan()));
+
+    for (int rep = 0; rep < 3; ++rep) {
+      const std::vector<Tensor> in = inputs();
+      std::vector<Tensor> eager;
+      const std::uint64_t eager_launches =
+          launches_during([&] { eager = eltwise_step(c, in); });
+      ASSERT_TRUE(program->bind(in, {}));
+      const std::uint64_t replayed = launches_during([&] { program->run(); });
+      EXPECT_EQ(replayed, eager_launches);
+      EXPECT_EQ(program->counted_kernels(), eager_launches);
+      ASSERT_EQ(program->tap_count(), eager.size());
+      for (std::size_t i = 0; i < eager.size(); ++i) {
+        expect_bytes_equal(program->tap_value(i), eager[i],
+                           i == 0 ? "value" : "grad");
+      }
+    }
+  }
+}
+
+ag::Var pow_1_5(const ag::Var& x) { return ag::ops::pow_scalar(x, 1.5f); }
+ag::Var add_0_7(const ag::Var& x) { return ag::ops::add_scalar(x, 0.7f); }
+ag::Var mul_m3(const ag::Var& x) { return ag::ops::mul_scalar(x, -3.0f); }
+ag::Var clamp_half(const ag::Var& x) { return ag::ops::clamp(x, -0.5f, 0.5f); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, ReplayEltwiseSweep,
+    ::testing::Values(
+        EltwiseCase{"add", nullptr, ag::ops::add, -1.0f, 1.0f},
+        EltwiseCase{"sub", nullptr, ag::ops::sub, -1.0f, 1.0f},
+        EltwiseCase{"mul", nullptr, ag::ops::mul, -1.0f, 1.0f},
+        EltwiseCase{"div", nullptr, ag::ops::div, 0.5f, 1.5f},
+        EltwiseCase{"add_scalar", add_0_7, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"mul_scalar", mul_m3, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"pow_scalar", pow_1_5, nullptr, 0.5f, 1.5f},
+        EltwiseCase{"neg", ag::ops::neg, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"exp", ag::ops::exp_op, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"log", ag::ops::log_op, nullptr, 0.5f, 1.5f},
+        EltwiseCase{"sqrt", ag::ops::sqrt_op, nullptr, 0.5f, 1.5f},
+        EltwiseCase{"sin", ag::ops::sin_op, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"cos", ag::ops::cos_op, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"acos", ag::ops::acos_op, nullptr, -0.9f, 0.9f},
+        EltwiseCase{"tanh", ag::ops::tanh_op, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"sigmoid", ag::ops::sigmoid, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"silu", ag::ops::silu, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"abs", ag::ops::abs_op, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"reciprocal", ag::ops::reciprocal, nullptr, 0.5f, 1.5f},
+        EltwiseCase{"square", ag::ops::square, nullptr, -1.0f, 1.0f},
+        EltwiseCase{"clamp", clamp_half, nullptr, -1.0f, 1.0f}),
+    [](const ::testing::TestParamInfo<EltwiseCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Fuzz: shape churn and poisoned batches through the engine with replay on

@@ -159,9 +159,8 @@ PhaseCounts measure_serve(bool pooled, const BenchOptions& opt) {
     }
   };
 
-  // Warm-up: builds graphs, primes the worker pool, and walks the replay
-  // cache past its sighting + capture ticks (the capture allocates the
-  // program slab; steady state must measure pure pool recycling).
+  // Warm-up: builds graphs, primes the worker pool and fills the pool's
+  // free lists, so steady state measures pure pool recycling.
   for (int i = 0; i < 3; ++i) tick();
 
   const std::uint64_t mb_before = engine.stats().micro_batches;
@@ -213,8 +212,8 @@ PhaseCounts measure_serve_int8(bool pooled, const BenchOptions& opt) {
                   "bench_memory_arena: unexpected shard restart");
   };
 
-  // Warm-up: graphs, replica pool, quantized weights, and the replay
-  // cache's sighting + capture ticks (see measure_serve).
+  // Warm-up: graphs, replica pool, quantized weights and the shard pool's
+  // free lists (see measure_serve).
   for (int i = 0; i < 3; ++i) tick();
 
   const std::uint64_t mb_before = shard.engine().stats().micro_batches;

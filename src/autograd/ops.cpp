@@ -6,26 +6,22 @@
 #include <utility>
 
 #include "core/parallel_for.hpp"
-#include "core/replay.hpp"
 #include "ops/eltwise.hpp"
 #include "ops/gather_scatter.hpp"
 #include "ops/gemm.hpp"
 #include "ops/reduce.hpp"
 #include "perf/counters.hpp"
 
-// Replay capture (core/replay.hpp): every kernel here factors its arithmetic
-// into a loop helper shared verbatim between the eager call and the closure
-// it pushes onto an active Recorder, so a replayed step runs byte-for-byte
-// the same loops over slot-resolved pointers.  Pure aliases (reshape,
-// same-shape broadcast/sum_to, single-input cat) share storage and need no
-// step of their own.
+// Every kernel here factors its arithmetic into a loop helper.  Pure aliases
+// (reshape, same-shape broadcast/sum_to, single-input cat) share storage and
+// launch no kernel of their own.
 //
 // SIMD dispatch (src/ops/): the loop helpers route per-element arithmetic,
 // GEMM, row gather/scatter and column sums through the tiered op library.
 // Ops in the bit-exact class produce identical bytes at every tier;
 // transcendentals and double-accumulated reductions stay pinned to the
-// scalar reference (see docs/ops.md), so the replay/pool 0.0-diff gates
-// hold under any FASTCHG_SIMD setting.
+// scalar reference (see docs/ops.md), so the pool 0.0-diff gates and the
+// cross-tier bit-exactness tests hold under any FASTCHG_SIMD setting.
 
 namespace fastchg::ag::ops {
 
@@ -113,9 +109,8 @@ BPat classify(const Tensor& a, const Tensor& b, Shape& out_shape) {
                                                 << shape_str(b.shape()));
 }
 
-/// The arithmetic of every binary op, shared by the eager call and the
-/// replay closure (identical instruction streams => bit-identical results).
-/// rows/cols are only read for the 2-D row/col broadcast patterns.
+/// The arithmetic of every binary op.  rows/cols are only read for the 2-D
+/// row/col broadcast patterns.
 template <class F>
 void binary_loop(BPat pat, index_t rows, index_t cols, index_t n,
                  const float* pa, const float* pb, float* po, F f) {
@@ -163,8 +158,7 @@ void binary_loop(BPat pat, index_t rows, index_t cols, index_t n,
 /// Dispatch-routing wrapper around binary_loop: the four arithmetic EOps
 /// run through ops::eltwise (vectorized under the AVX2 tier, per-element
 /// bit-exact at every tier); anything else falls back to the reference
-/// loop.  Eager call and replay closure both come through here, so the two
-/// paths keep identical instruction streams per tier.
+/// loop.
 template <class F>
 void binary_loop_d(EOp eop, BPat pat, index_t rows, index_t cols,
                    index_t n, const float* pa, const float* pb, float* po,
@@ -265,16 +259,6 @@ Tensor binary_kernel(const char* name, EOp eop, const Tensor& a,
   const index_t cols = out_shape.size() == 2 ? out_shape[1] : 0;
   const index_t n = out.numel();
   binary_loop_d(eop, pat, rows, cols, n, a.data(), b.data(), out.data(), f);
-  if (auto* rec = replay::Recorder::active()) {
-    const int sa = rec->note_input(a);
-    const int sb = rec->note_input(b);
-    const int so = rec->note_output(out);
-    rec->push(name, /*counted=*/true, {sa, sb}, so,
-              [eop, pat, rows, cols, n, sa, sb, so, f](float* const* S) {
-                binary_loop_d(eop, pat, rows, cols, n, S[sa], S[sb], S[so],
-                              f);
-              });
-  }
   return out;
 }
 
@@ -313,14 +297,6 @@ Tensor unary_kernel(const char* name, EOp eop, const Tensor& x, F f,
   Tensor out = Tensor::empty(x.shape());
   const index_t n = x.numel();
   unary_loop_d(eop, s0, s1, n, x.data(), out.data(), f);
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(x);
-    const int so = rec->note_output(out);
-    rec->push(name, /*counted=*/true, {sx}, so,
-              [eop, s0, s1, n, sx, so, f](float* const* S) {
-                unary_loop_d(eop, s0, s1, n, S[sx], S[so], f);
-              });
-  }
   return out;
 }
 
@@ -587,8 +563,8 @@ Var clamp(const Var& x, float lo, float hi) {
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Zero-fill + accumulate (the zero-fill makes the loop self-contained so
-/// replay can run it over recycled slab bytes).  Row-partitioned across the
+/// Zero-fill + accumulate (the zero-fill makes the loop self-contained over
+/// recycled pool bytes).  Row-partitioned across the
 /// worker pool; i-k-j loop order gives a unit-stride inner loop that
 /// vectorizes well under -O3.  Partitions are disjoint rows, so results are
 /// identical for any thread count.
@@ -609,15 +585,6 @@ Tensor matmul_kernel(const Tensor& a, const Tensor& b) {
                                                       << b.size(0));
   Tensor out = Tensor::empty({m, n});
   matmul_loop(m, k, n, a.data(), b.data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sa = rec->note_input(a);
-    const int sb = rec->note_input(b);
-    const int so = rec->note_output(out);
-    rec->push("matmul", /*counted=*/true, {sa, sb}, so,
-              [m, k, n, sa, sb, so](float* const* S) {
-                matmul_loop(m, k, n, S[sa], S[sb], S[so]);
-              });
-  }
   return out;
 }
 
@@ -630,15 +597,6 @@ Tensor matmul_tn_kernel(const Tensor& a, const Tensor& g) {
   const index_t m = a.size(0), k = a.size(1), n = g.size(1);
   Tensor out = Tensor::empty({k, n});
   sops::gemm::matmul_tn(m, k, n, a.data(), g.data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sa = rec->note_input(a);
-    const int sg = rec->note_input(g);
-    const int so = rec->note_output(out);
-    rec->push("matmul_tn", /*counted=*/true, {sa, sg}, so,
-              [m, k, n, sa, sg, so](float* const* S) {
-                sops::gemm::matmul_tn(m, k, n, S[sa], S[sg], S[so]);
-              });
-  }
   return out;
 }
 
@@ -653,14 +611,6 @@ Tensor transpose_kernel(const Tensor& x) {
   const index_t m = x.size(0), n = x.size(1);
   Tensor out = Tensor::empty({n, m});
   transpose_loop(m, n, x.data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(x);
-    const int so = rec->note_output(out);
-    rec->push("transpose", /*counted=*/true, {sx}, so,
-              [m, n, sx, so](float* const* S) {
-                transpose_loop(m, n, S[sx], S[so]);
-              });
-  }
   return out;
 }
 }  // namespace
@@ -707,12 +657,6 @@ Var sum_all(const Var& x) {
   const index_t n = x.numel();
   Tensor out = Tensor::empty({1});
   sum_all_loop(n, x.value().data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(x.value());
-    const int so = rec->note_output(out);
-    rec->push("sum_all", /*counted=*/true, {sx}, so,
-              [n, sx, so](float* const* S) { sum_all_loop(n, S[sx], S[so]); });
-  }
   Shape sx = x.shape();
   return make_op_node("sum_all", std::move(out), {x},
                       [sx](const Var& g) -> std::vector<Var> {
@@ -743,14 +687,6 @@ Var sum_dim(const Var& x, index_t dim, bool keepdim) {
                    ? Tensor::empty(keepdim ? Shape{1, cols} : Shape{cols})
                    : Tensor::empty(keepdim ? Shape{rows, 1} : Shape{rows});
   sum_dim_loop(dim, rows, cols, x.value().data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(x.value());
-    const int so = rec->note_output(out);
-    rec->push("sum_dim", /*counted=*/true, {sx}, so,
-              [dim, rows, cols, sx, so](float* const* S) {
-                sum_dim_loop(dim, rows, cols, S[sx], S[so]);
-              });
-  }
   Shape sx = x.shape();
   Shape mid = (dim == 0) ? Shape{1, cols} : Shape{rows, 1};
   return make_op_node("sum_dim", std::move(out), {x},
@@ -817,14 +753,6 @@ Var broadcast_to(const Var& x, const Shape& shape) {
                                          << shape_str(shape));
   }
   broadcast_loop(mode, rows, cols, n, xv.data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(xv);
-    const int so = rec->note_output(out);
-    rec->push("broadcast", /*counted=*/true, {sx}, so,
-              [mode, rows, cols, n, sx, so](float* const* S) {
-                broadcast_loop(mode, rows, cols, n, S[sx], S[so]);
-              });
-  }
   Shape sx = x.shape();
   return make_op_node("broadcast", std::move(out), {x},
                       [sx](const Var& g) -> std::vector<Var> {
@@ -897,14 +825,6 @@ Var index_select0(const Var& x, std::vector<index_t> idx) {
   Tensor out = Tensor::empty(out_shape);
   auto idx_sp = std::make_shared<std::vector<index_t>>(std::move(idx));
   index_select_loop(*idx_sp, rows, w, xv.data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(xv);
-    const int so = rec->note_output(out);
-    rec->push("index_select", /*counted=*/true, {sx}, so,
-              [idx_sp, rows, w, sx, so](float* const* S) {
-                index_select_loop(*idx_sp, rows, w, S[sx], S[so]);
-              });
-  }
   return make_op_node("index_select", std::move(out), {x},
                       [idx_sp, rows](const Var& g) -> std::vector<Var> {
                         return {index_add0(rows, *idx_sp, g)};
@@ -923,14 +843,6 @@ Var index_add0(index_t rows, std::vector<index_t> idx, const Var& src) {
   Tensor out = Tensor::empty(out_shape);
   auto idx_sp = std::make_shared<std::vector<index_t>>(std::move(idx));
   index_add_loop(*idx_sp, rows, w, sv.data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int ss = rec->note_input(sv);
-    const int so = rec->note_output(out);
-    rec->push("index_add", /*counted=*/true, {ss}, so,
-              [idx_sp, rows, w, ss, so](float* const* S) {
-                index_add_loop(*idx_sp, rows, w, S[ss], S[so]);
-              });
-  }
   return make_op_node("index_add", std::move(out), {src},
                       [idx_sp](const Var& g) -> std::vector<Var> {
                         return {index_select0(g, *idx_sp)};
@@ -993,38 +905,6 @@ Var cat(const std::vector<Var>& xs, index_t dim) {
       coff += c;
     }
   }
-  if (auto* rec = replay::Recorder::active()) {
-    std::vector<int> sin;
-    std::vector<index_t> widths;  // dim 0: numel; dim 1: cols per input
-    sin.reserve(xs.size());
-    widths.reserve(xs.size());
-    for (const Var& x : xs) {
-      sin.push_back(rec->note_input(x.value()));
-      widths.push_back(dim == 0 ? x.numel() : x.size(1));
-    }
-    const int so = rec->note_output(out);
-    const index_t rows = dim == 0 ? 0 : out_shape[0];
-    const index_t cols = dim == 0 ? 0 : out_shape[1];
-    rec->push("cat", /*counted=*/true, sin, so,
-              [sin, widths, dim, rows, cols, so](float* const* S) {
-                float* o = S[so];
-                index_t off = 0;
-                for (std::size_t i = 0; i < sin.size(); ++i) {
-                  const float* p = S[sin[i]];
-                  const index_t wdt = widths[i];
-                  if (dim == 0) {
-                    std::memcpy(o + off, p,
-                                static_cast<std::size_t>(wdt) * sizeof(float));
-                  } else {
-                    for (index_t r = 0; r < rows; ++r)
-                      std::memcpy(o + r * cols + off, p + r * wdt,
-                                  static_cast<std::size_t>(wdt) *
-                                      sizeof(float));
-                  }
-                  off += wdt;
-                }
-              });
-  }
   std::vector<index_t> sizes;
   sizes.reserve(xs.size());
   for (const Var& x : xs) sizes.push_back(x.size(dim));
@@ -1066,24 +946,6 @@ Var narrow(const Var& x, index_t dim, index_t start, index_t len) {
       std::memcpy(po + r * len, px + r * cols + start,
                   static_cast<std::size_t>(len) * sizeof(float));
   }
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(xv);
-    const int so = rec->note_output(out);
-    rec->push("narrow", /*counted=*/true, {sx}, so,
-              [dim, start, len, w, rows, cols, sx, so](float* const* S) {
-                const float* p = S[sx];
-                float* o = S[so];
-                if (dim == 0) {
-                  std::memcpy(o, p + start * w,
-                              static_cast<std::size_t>(len * w) *
-                                  sizeof(float));
-                } else {
-                  for (index_t r = 0; r < rows; ++r)
-                    std::memcpy(o + r * len, p + r * cols + start,
-                                static_cast<std::size_t>(len) * sizeof(float));
-                }
-              });
-  }
   const index_t total = xv.size(dim);
   return make_op_node("narrow", std::move(out), {x},
                       [dim, start, total](const Var& g) -> std::vector<Var> {
@@ -1115,26 +977,6 @@ Var pad_slice(const Var& x, index_t dim, index_t start, index_t total) {
     for (index_t r = 0; r < rows; ++r)
       std::memcpy(po + r * total + start, px + r * len,
                   static_cast<std::size_t>(len) * sizeof(float));
-  }
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(xv);
-    const int so = rec->note_output(out);
-    const index_t on = out.numel();
-    rec->push("pad_slice", /*counted=*/true, {sx}, so,
-              [dim, start, len, total, w, rows, on, sx, so](float* const* S) {
-                const float* p = S[sx];
-                float* o = S[so];
-                std::memset(o, 0, static_cast<std::size_t>(on) * sizeof(float));
-                if (dim == 0) {
-                  std::memcpy(o + start * w, p,
-                              static_cast<std::size_t>(len * w) *
-                                  sizeof(float));
-                } else {
-                  for (index_t r = 0; r < rows; ++r)
-                    std::memcpy(o + r * total + start, p + r * len,
-                                static_cast<std::size_t>(len) * sizeof(float));
-                }
-              });
   }
   return make_op_node("pad_slice", std::move(out), {x},
                       [dim, start, len](const Var& g) -> std::vector<Var> {

@@ -6,7 +6,6 @@
 
 #include "autograd/ops.hpp"
 #include "core/alloc.hpp"
-#include "core/replay.hpp"
 
 namespace fastchg::ag {
 
@@ -137,8 +136,7 @@ std::vector<Node*> topo_order(Node* root) {
 /// every leaf that received a gradient, in the deterministic order the
 /// topo walk first reached it -- backward() iterates leaves through this
 /// list rather than the pointer-hashed map, so the trailing
-/// grad-accumulate sequence (and with it a replay capture's fingerprint
-/// and slot numbering) is identical across runs.
+/// grad-accumulate sequence is identical across runs.
 std::unordered_map<Node*, Var> propagate(const Var& root, Var seed,
                                          bool create_graph,
                                          std::vector<Node*>* leaves) {
@@ -210,15 +208,10 @@ void backward(const Var& root, Tensor grad_seed, bool create_graph) {
     const Var& g = it->second;
     if (!node->grad.defined()) {
       // First touch: transient leaves (fresh positions/strain each step)
-      // land here every time and are deliberately not recorded -- a replay
-      // capture runs against warm accumulators, so only the steady-state
-      // `grad += g` below belongs on the tape.
+      // land here every time.
       node->grad = g.value().clone();
     } else {
       node->grad.add_(g.value());
-      if (auto* rec = replay::Recorder::active()) {
-        rec->note_accumulate(node->grad, g.value());
-      }
     }
   }
 }

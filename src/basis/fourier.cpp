@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.hpp"
-#include "core/replay.hpp"
 #include "ops/basis.hpp"
 #include "perf/counters.hpp"
 #include "perf/trace.hpp"
@@ -17,8 +16,7 @@ namespace {
 const float kInvSqrtPi = 1.0f / std::sqrt(static_cast<float>(M_PI));
 const float kConstTerm = 1.0f / std::sqrt(2.0f * static_cast<float>(M_PI));
 
-/// Fused Fourier forward loop, shared by the eager kernel and its replay
-/// closure.
+/// Fused Fourier forward loop.
 void fourier_loop(index_t g, index_t order, const float* pt, float* po) {
   // Dispatched: scalar tier is this function's old body verbatim; the AVX2
   // tier evaluates sin/cos with the Cephes polynomial (tolerance-gated).
@@ -65,15 +63,6 @@ Var AngularBasis::forward_fused(const Var& theta) const {
   const index_t nb = 2 * order_ + 1;
   Tensor out = Tensor::empty({g, nb});
   fourier_loop(g, order_, theta.value().data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int st = rec->note_input(theta.value());
-    const int so = rec->note_output(out);
-    const index_t ov = order_;
-    rec->push("fused_fourier", /*counted=*/true, {st}, so,
-              [g, ov, st, so](float* const* S) {
-                fourier_loop(g, ov, S[st], S[so]);
-              });
-  }
   const index_t order = order_;
   Var th = theta;
   return make_op_node(

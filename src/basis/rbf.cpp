@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.hpp"
-#include "core/replay.hpp"
 #include "ops/basis.hpp"
 #include "perf/counters.hpp"
 #include "perf/trace.hpp"
@@ -14,8 +13,7 @@ using namespace ag::ops;
 using ag::make_op_node;
 
 namespace {
-/// Fused sRBF forward loop, shared by the eager kernel and its replay
-/// closure (bit-identical results by construction).
+/// Fused sRBF forward loop.
 void srbf_loop(index_t e, index_t nb, float rc, float c, int p,
                const float* pr, const float* pf, float* po) {
   // Dispatched: scalar tier is this function's old body verbatim; the AVX2
@@ -68,17 +66,6 @@ Var RadialBasis::forward_fused(const Var& r) const {
   Tensor out = Tensor::empty({e, nb_});
   srbf_loop(e, nb_, rc, c, p_, r.value().data(), freq_.value().data(),
             out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sr = rec->note_input(r.value());
-    const int sf = rec->note_input(freq_.value());  // baked parameter slot
-    const int so = rec->note_output(out);
-    const index_t nbv = nb_;
-    const int pv = p_;
-    rec->push("fused_srbf", /*counted=*/true, {sr, sf}, so,
-              [e, nbv, rc, c, pv, sr, sf, so](float* const* S) {
-                srbf_loop(e, nbv, rc, c, pv, S[sr], S[sf], S[so]);
-              });
-  }
   const index_t nb = nb_;
   const int p = p_;
   Var rr = r;

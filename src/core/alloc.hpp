@@ -2,7 +2,7 @@
 // recycling pool, and RAII arena scopes (docs/memory.md).
 //
 // Motivation (paper Fig. 8c): the trainer, every virtual device in
-// DataParallelTrainer, and the serve micro-batcher replay the same graph
+// DataParallelTrainer, and the serve micro-batcher rebuild the same graph
 // shapes thousands of times, yet the seed implementation paid one heap
 // allocation (plus a shared_ptr control block) per op output, every step.
 // PyTorch-style caching allocators fix this by recycling freed blocks

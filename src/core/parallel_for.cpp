@@ -60,9 +60,13 @@ class Pool {
  private:
   void spawn() {
     stop_ = false;
+    // A helper spawned by resize() must not mistake the last finished
+    // run's generation for new work: that spurious wake would decrement
+    // busy_ a second time and could leave the caller waiting forever.
+    const std::uint64_t current = generation_;
     const int helpers = target_workers_ - 1;
     for (int i = 0; i < helpers; ++i) {
-      threads_.emplace_back([this] { helper_loop(); });
+      threads_.emplace_back([this, current] { helper_loop(current); });
     }
   }
 
@@ -78,8 +82,7 @@ class Pool {
     threads_.clear();
   }
 
-  void helper_loop() {
-    std::uint64_t seen = 0;
+  void helper_loop(std::uint64_t seen) {
     while (true) {
       {
         std::unique_lock<std::mutex> lock(mu_);

@@ -1,9 +1,6 @@
 #include "data/batch.hpp"
 
-#include <cstring>
-
 #include "core/error.hpp"
-#include "core/replay.hpp"
 
 namespace fastchg::data {
 
@@ -129,64 +126,6 @@ Batch collate_indices(const Dataset& ds, const std::vector<index_t>& idx) {
   samples.reserve(idx.size());
   for (index_t i : idx) samples.push_back(&ds[i]);
   return collate(samples);
-}
-
-std::uint64_t replay_key(const Batch& b, std::uint64_t seed) {
-  replay::KeyBuilder k;
-  k.mix(seed);
-  k.mix(static_cast<std::uint64_t>(b.num_structs));
-  k.mix(static_cast<std::uint64_t>(b.num_atoms));
-  k.mix(static_cast<std::uint64_t>(b.num_edges));
-  k.mix(static_cast<std::uint64_t>(b.num_angles));
-  // Composition: species are baked into the embedding gathers; volumes are
-  // baked as scalar attributes of the energy normalization.  Hash volume
-  // bit patterns (not rounded values) -- any numeric change must miss.
-  k.mix_indices(b.species);
-  k.mix_indices(b.natoms);
-  k.mix(static_cast<std::uint64_t>(b.volumes.size()));
-  for (double v : b.volumes) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    k.mix(bits);
-  }
-  // Topology: every index vector ends up inside gather/scatter closures.
-  k.mix_indices(b.edge_src);
-  k.mix_indices(b.edge_dst);
-  k.mix_indices(b.edge_struct);
-  k.mix_indices(b.angle_e1);
-  k.mix_indices(b.angle_e2);
-  k.mix_indices(b.angle_center);
-  k.mix_indices(b.atom_struct);
-  k.mix_indices(b.atom_first);
-  k.mix_indices(b.edge_first);
-  k.mix_indices(b.angle_first);
-  // Bound-tensor geometry: shape + definedness only, never float payloads.
-  k.mix_shape(b.cart);
-  k.mix_shape(b.edge_image);
-  k.mix_shape(b.image_blockdiag);
-  k.mix(static_cast<std::uint64_t>(b.lattices.size()));
-  for (const Tensor& lat : b.lattices) k.mix_shape(lat);
-  k.mix_shape(b.energy_per_atom);
-  k.mix_shape(b.forces);
-  k.mix_shape(b.stress);
-  k.mix_shape(b.magmom);
-  return k.h;
-}
-
-std::vector<Tensor> replay_inputs(const Batch& b) {
-  std::vector<Tensor> in;
-  in.reserve(8 + b.lattices.size());
-  in.push_back(b.cart);
-  in.push_back(b.edge_image);
-  in.push_back(b.image_blockdiag);
-  for (const Tensor& lat : b.lattices) in.push_back(lat);
-  // Labels may be undefined (serve batches); bind() records the
-  // definedness pattern so positions still line up.
-  in.push_back(b.energy_per_atom);
-  in.push_back(b.forces);
-  in.push_back(b.stress);
-  in.push_back(b.magmom);
-  return in;
 }
 
 }  // namespace fastchg::data

@@ -62,18 +62,4 @@ Batch collate(const std::vector<const Sample*>& samples,
 /// Convenience: collate dataset rows by index.
 Batch collate_indices(const Dataset& ds, const std::vector<index_t>& idx);
 
-/// Replay program-cache key for this batch (core/replay.hpp): hashes the
-/// full topology and composition -- counts, species, per-structure atom
-/// counts and volumes, every index vector, and the shapes/definedness of
-/// the float tensors.  Everything float-valued that flows through bound
-/// slots (positions, images, lattices, labels) is deliberately excluded:
-/// a captured program is reusable across batches that differ only in those
-/// values.  `seed` namespaces the key per integration site (e.g. one key
-/// space per DP virtual device).
-std::uint64_t replay_key(const Batch& b, std::uint64_t seed);
-
-/// The rebindable inputs of a step on this batch, in the fixed order both
-/// capture (Recorder::bind_input) and replay (Program::bind) use.
-std::vector<Tensor> replay_inputs(const Batch& b);
-
 }  // namespace fastchg::data

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.hpp"
-#include "core/replay.hpp"
 #include "perf/trace.hpp"
 
 namespace fastchg::model {
@@ -11,9 +10,7 @@ namespace fastchg::model {
 using namespace ag::ops;
 
 namespace {
-/// Outer-product-of-normalized-lattice-rows loop, shared by the eager call
-/// and the replay closure (lattices are rebindable batch inputs, so the
-/// value must be recomputed on every replayed step).
+/// Outer-product-of-normalized-lattice-rows loop.
 void lattice_outer_loop(const float* l, float* po) {
   float nrm[3];
   for (int i = 0; i < 3; ++i) {
@@ -63,16 +60,6 @@ Tensor StressHead::lattice_outer(const Tensor& lattice) {
                 "lattice_outer: " << shape_str(lattice.shape()));
   Tensor out = Tensor::empty({1, 9});
   lattice_outer_loop(lattice.data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    // counted=false: the eager path records no kernel launch for this
-    // helper, so neither does replay.
-    const int sl = rec->note_input(lattice);
-    const int so = rec->note_output(out);
-    rec->push("lattice_outer", /*counted=*/false, {sl}, so,
-              [sl, so](float* const* S) {
-                lattice_outer_loop(S[sl], S[so]);
-              });
-  }
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.hpp"
-#include "core/replay.hpp"
 #include "ops/rownorm.hpp"
 #include "perf/counters.hpp"
 #include "perf/trace.hpp"
@@ -16,8 +15,7 @@ using ag::make_op_node;
 namespace {
 constexpr float kLnEps = 1e-5f;
 
-/// Fused gated-activation forward loop, shared by the eager kernel and its
-/// replay closure.
+/// Fused gated-activation forward loop.
 void gated_act_loop(index_t rows, index_t c, float eps, const float* pp,
                     const float* gc, const float* bc, const float* gg,
                     const float* bg, float* po) {
@@ -44,21 +42,6 @@ std::vector<Var> gated_act_backward_first_order(
   ::fastchg::ops::rownorm::gated_act_backward(
       rows, c, eps, pv.data(), gc.data(), bc.data(), gg.data(), bg.data(),
       dy.data(), dx.data(), dgc.data(), dbc.data(), dgg.data(), dbg.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const std::vector<int> ins = {rec->note_input(pv), rec->note_input(gc),
-                                  rec->note_input(bc), rec->note_input(gg),
-                                  rec->note_input(bg), rec->note_input(dy)};
-    const std::vector<int> outs = {
-        rec->note_output(dx), rec->note_output(dgc), rec->note_output(dbc),
-        rec->note_output(dgg), rec->note_output(dbg)};
-    rec->push("fused_gated_act_backward", /*counted=*/true, ins, outs,
-              [rows, c, eps, ins, outs](float* const* S) {
-                ::fastchg::ops::rownorm::gated_act_backward(
-                    rows, c, eps, S[ins[0]], S[ins[1]], S[ins[2]], S[ins[3]],
-                    S[ins[4]], S[ins[5]], S[outs[0]], S[outs[1]], S[outs[2]],
-                    S[outs[3]], S[outs[4]]);
-              });
-  }
   return {constant(std::move(dx)), constant(std::move(dgc)),
           constant(std::move(dbc)), constant(std::move(dgg)),
           constant(std::move(dbg))};
@@ -111,20 +94,6 @@ Var gated_act_fused(const Var& packed, const Var& gamma_c, const Var& beta_c,
   gated_act_loop(rows, c, eps, pv.data(), gamma_c.value().data(),
                  beta_c.value().data(), gamma_g.value().data(),
                  beta_g.value().data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sp = rec->note_input(pv);
-    const int sgc = rec->note_input(gamma_c.value());
-    const int sbc = rec->note_input(beta_c.value());
-    const int sgg = rec->note_input(gamma_g.value());
-    const int sbg = rec->note_input(beta_g.value());
-    const int so = rec->note_output(out);
-    rec->push("fused_gated_act", /*counted=*/true,
-              {sp, sgc, sbc, sgg, sbg}, so,
-              [rows, c, eps, sp, sgc, sbc, sgg, sbg, so](float* const* S) {
-                gated_act_loop(rows, c, eps, S[sp], S[sgc], S[sbc], S[sgg],
-                               S[sbg], S[so]);
-              });
-  }
   return make_op_node(
       "fused_gated_act", std::move(out),
       {packed, gamma_c, beta_c, gamma_g, beta_g},

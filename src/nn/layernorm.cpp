@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.hpp"
-#include "core/replay.hpp"
 #include "ops/rownorm.hpp"
 #include "perf/counters.hpp"
 
@@ -13,8 +12,7 @@ using namespace ag::ops;
 using ag::make_op_node;
 
 namespace {
-/// Fused layernorm forward loop, shared by the eager kernel and its replay
-/// closure.
+/// Fused layernorm forward loop.
 void layernorm_loop(index_t rows, index_t cols, float eps, const float* px,
                     const float* pg, const float* pb, float* po) {
   // Dispatched: scalar tier is this function's old body verbatim; the AVX2
@@ -54,16 +52,6 @@ Var layernorm_fused(const Var& x, const Var& gamma, const Var& beta,
   Tensor out = Tensor::empty({rows, cols});
   layernorm_loop(rows, cols, eps, xv.data(), gamma.value().data(),
                  beta.value().data(), out.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sx = rec->note_input(xv);
-    const int sg = rec->note_input(gamma.value());
-    const int sb = rec->note_input(beta.value());
-    const int so = rec->note_output(out);
-    rec->push("fused_layernorm", /*counted=*/true, {sx, sg, sb}, so,
-              [rows, cols, eps, sx, sg, sb, so](float* const* S) {
-                layernorm_loop(rows, cols, eps, S[sx], S[sg], S[sb], S[so]);
-              });
-  }
   // Backward recomputes the normalization with primitive ops so the gradient
   // is itself differentiable (double backward path).
   return make_op_node(

@@ -2,9 +2,8 @@
 // (docs/ops.md).  *Tolerance-gated*: the scalar tier calls libm
 // sinf/cosf, the AVX2 tier evaluates Cephes-style polynomial kernels
 // (ops/vecmath256.hpp) that agree with libm to a couple of ulps but not
-// bitwise.  Each tier is individually deterministic, and the eager kernel
-// and its replay closure run through the same dispatch, so same-tier
-// replay/fusion comparisons still read exactly 0.0.
+// bitwise.  Each tier is individually deterministic, so same-tier
+// comparisons (pool on vs off, thread counts) still read exactly 0.0.
 //
 // Layering: fastchg_core cannot see basis/envelope.hpp (fastchg_model), so
 // the polynomial cutoff envelope arrives as a function pointer.  It is

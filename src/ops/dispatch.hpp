@@ -5,7 +5,7 @@
 // variant compiled in its own translation unit with -mavx2 -mfma.  Which
 // one runs is a process-wide *tier*, resolved once at startup from a cpuid
 // probe plus the FASTCHG_SIMD environment override, mirroring the
-// FASTCHG_ALLOC / FASTCHG_REPLAY kill-switch idiom:
+// FASTCHG_ALLOC kill-switch idiom:
 //
 //   FASTCHG_SIMD=auto    (default) AVX2 when the host supports AVX2+FMA
 //   FASTCHG_SIMD=scalar  force the scalar reference kernels everywhere
@@ -13,9 +13,7 @@
 //                        or the build cannot run it)
 //
 // set_simd_tier() overrides the environment at runtime (tests sweep both
-// tiers differentially).  Recorded-step programs capture the tier into
-// their fingerprint and re-validate it at bind time, so a mid-run override
-// can never mix tiers inside one replayed tape (core/replay.hpp).
+// tiers differentially).
 //
 // Op classes (the bit-exactness contract, asserted by tests/test_ops.cpp):
 //   bit-exact         scalar and AVX2 produce bitwise identical floats:
@@ -24,8 +22,7 @@
 //                     pure per-element ops), gather rows, scatter-add rows
 //                     (row order preserved), column-wise sum_dim0 (per-
 //                     column accumulation order preserved).  The serve
-//                     path's pool/replay 0.0-diff gates ride only on
-//                     these.
+//                     path's pool 0.0-diff gates ride only on these.
 //   tolerance-gated   reassociating reductions (sum_all on wide lanes),
 //                     FMA GEMMs, and polynomial transcendentals (basis
 //                     sin/cos, rownorm exp) -- per-op bounds are pinned in

@@ -33,7 +33,6 @@ FASTCHG_ELTWISE_DISPATCH(sqrt, (index_t n, const float* a, float* o), (n, a, o))
 FASTCHG_ELTWISE_DISPATCH(sign, (index_t n, const float* a, float* o), (n, a, o))
 FASTCHG_ELTWISE_DISPATCH(clamp, (index_t n, const float* a, float lo, float hi, float* o), (n, a, lo, hi, o))
 FASTCHG_ELTWISE_DISPATCH(clamp_mask, (index_t n, const float* a, float lo, float hi, float* o), (n, a, lo, hi, o))
-FASTCHG_ELTWISE_DISPATCH(acc, (index_t n, const float* a, float* o), (n, a, o))
 FASTCHG_ELTWISE_DISPATCH(axpy, (index_t n, float s, const float* a, float* o), (n, s, a, o))
 FASTCHG_ELTWISE_DISPATCH(scale, (index_t n, float s, float* o), (n, s, o))
 

@@ -3,8 +3,8 @@
 // variant evaluates the identical IEEE-754 single-precision expression per
 // element (mul-then-add, never FMA; vdivps/vsqrtps are correctly rounded),
 // so scalar and AVX2 tiers produce bitwise identical outputs for any input
-// including NaN/Inf.  The pool/replay 0.0-diff gates may therefore run
-// under either tier.
+// including NaN/Inf.  The pool 0.0-diff gates may therefore run under
+// either tier.
 //
 // All entry points tolerate unaligned and aliased pointers (o may equal a
 // or b); 64-byte alignment (the arena contract, core/alloc.cpp) is a
@@ -89,10 +89,6 @@ inline void clamp_mask(index_t n, const float* a, float lo, float hi,
     o[i] = (a[i] >= lo && a[i] <= hi) ? 1.0f : 0.0f;
   }
 }
-/// o[i] += a[i]  (grad accumulation / scatter rows / sum_dim0 columns)
-inline void acc(index_t n, const float* a, float* o) {
-  for (index_t i = 0; i < n; ++i) o[i] += a[i];
-}
 /// o[i] += s * a[i]  (optimizer / allreduce axpy; mul then add, no FMA)
 inline void axpy(index_t n, float s, const float* a, float* o) {
   for (index_t i = 0; i < n; ++i) o[i] += s * a[i];
@@ -123,7 +119,6 @@ void sqrt(index_t n, const float* a, float* o);
 void sign(index_t n, const float* a, float* o);
 void clamp(index_t n, const float* a, float lo, float hi, float* o);
 void clamp_mask(index_t n, const float* a, float lo, float hi, float* o);
-void acc(index_t n, const float* a, float* o);
 void axpy(index_t n, float s, const float* a, float* o);
 void scale(index_t n, float s, float* o);
 
@@ -149,7 +144,6 @@ void sqrt(index_t n, const float* a, float* o);
 void sign(index_t n, const float* a, float* o);
 void clamp(index_t n, const float* a, float lo, float hi, float* o);
 void clamp_mask(index_t n, const float* a, float lo, float hi, float* o);
-void acc(index_t n, const float* a, float* o);
 void axpy(index_t n, float s, const float* a, float* o);
 void scale(index_t n, float s, float* o);
 }  // namespace avx2

@@ -7,10 +7,12 @@
 //    change any column's accumulation order.
 //  - sum_all and sum_dim1 are *pinned to the scalar reference at every
 //    tier*: the reference accumulates serially in double, and any 8-wide
-//    reassociation produces different partial sums.  The exact-0.0
-//    replay-vs-eager gates depend on every tier agreeing bit-for-bit --
-//    so the dispatching entry points below always run the scalar kernel.  The avx2:: variants exist only for the
-//    differential tests and the bench (tolerance-gated there).
+//    reassociation produces different partial sums.  Pinning keeps every
+//    reduction bit-exact across tiers, so a result (and the cross-tier
+//    0.0-diff tests) never depends on FASTCHG_SIMD -- the dispatching
+//    entry points below always run the scalar kernel.  The avx2:: variants
+//    exist only for the differential tests and the bench (tolerance-gated
+//    there).
 #pragma once
 
 #include <cstdint>

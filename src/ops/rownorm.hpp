@@ -5,8 +5,8 @@
 // double and calls libm expf for the sigmoids; the AVX2 tier uses 4-wide
 // double accumulator lanes (reassociated) and the Cephes exp256 kernel.
 // Differences are O(1e-7) relative -- well inside the 1e-5 fused-vs-
-// composite gates in test_nn.  Eager kernels and their replay closures
-// share one dispatch, so same-tier comparisons are still bitwise.
+// composite gates in test_nn.  Each tier is individually deterministic, so
+// same-tier comparisons are still bitwise.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "autograd/ops.hpp"
 #include "perf/timer.hpp"
@@ -11,31 +10,6 @@
 #include "train/checkpoint.hpp"
 
 namespace fastchg::parallel {
-
-namespace {
-
-/// Key namespace for DP device replay sites; the device id is mixed in so
-/// two replicas never alias keys (their programs bake different pointers).
-constexpr std::uint64_t kDpReplaySeed = 0x4450444556ull;  // "DPDEV"
-
-std::vector<Tensor> replay_stable(const std::vector<ag::Var>& params) {
-  std::vector<Tensor> v;
-  v.reserve(2 * params.size());
-  for (const ag::Var& p : params) {
-    v.push_back(p.value());
-    v.push_back(p.grad());
-  }
-  return v;
-}
-
-bool grads_warm(const std::vector<ag::Var>& params) {
-  for (const ag::Var& p : params) {
-    if (!p.has_grad()) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 DataParallelTrainer::DataParallelTrainer(const model::ModelConfig& mcfg,
                                          const DataParallelConfig& cfg,
@@ -61,7 +35,6 @@ DataParallelTrainer::DataParallelTrainer(const model::ModelConfig& mcfg,
     if (d > 0) replicas_[static_cast<std::size_t>(d)]->copy_parameters_from(*replicas_[0]);
     opts_.push_back(std::make_unique<train::Adam>(
         replicas_.back()->parameters(), lr_));
-    replay_caches_.push_back(std::make_unique<replay::ProgramCache>(8));
     alive_.push_back(d);
   }
   // DDP-style 64 KiB gradient buckets determine the all-reduce call count
@@ -128,8 +101,7 @@ void DataParallelTrainer::all_reduce_gradients() {
     sum.mul_(inv_p);
     for (auto& dev_params : params) {
       // Copy into the existing accumulator rather than replacing its
-      // storage: replay programs bake the gradient pointers (and so does
-      // Adam's hot loop), so the all-reduce must keep them stable.
+      // storage, so each gradient buffer stays put across steps.
       ag::Var& p = dev_params[i];
       if (p.has_grad()) {
         std::copy(sum.data(), sum.data() + sum.numel(),
@@ -314,61 +286,15 @@ EpochResult DataParallelTrainer::train_epoch(
       model::CHGNet& net = *replicas_[static_cast<std::size_t>(dev)];
       net.zero_grad();
 
-      // Recorded-step replay, one program cache per device (a replica's
-      // programs bake its own parameter/gradient pointers).  Same protocol
-      // as the single-device trainer: eager, capture, then replay.
-      const std::vector<ag::Var> dev_params = net.parameters();
-      replay::ProgramCache& cache =
-          *replay_caches_[static_cast<std::size_t>(dev)];
-      std::uint64_t key = 0;
-      replay::ProgramCache::Lease lease;
-      if (grads_warm(dev_params)) {
-        key = data::replay_key(
-            b, kDpReplaySeed + static_cast<std::uint64_t>(dev));
-        lease = cache.acquire(key);
-        if (lease.action == replay::ProgramCache::Action::kReplay &&
-            !lease.program->bind(data::replay_inputs(b),
-                                 replay_stable(dev_params))) {
-          cache.invalidate(key);
-          lease = replay::ProgramCache::Lease{};
-        }
-      }
-
       float loss_value = 0.0f;
-      bool ran_backward = false;
-      if (lease.action == replay::ProgramCache::Action::kReplay) {
-        perf::TraceSpan span_rp("dp.replay", "dp");
-        lease.program->run();
-        loss_value = lease.program->tap_value(0).data()[0];
-        ran_backward = true;
-      } else {
-        const bool capturing =
-            lease.action == replay::ProgramCache::Action::kCapture;
-        replay::Recorder rec;
-        std::optional<replay::RecorderScope> scope;
-        if (capturing) {
-          for (const Tensor& t : data::replay_inputs(b)) rec.bind_input(t);
-          for (const Tensor& t : replay_stable(dev_params)) {
-            rec.expect_stable(t);
-          }
-          scope.emplace(rec);
-        }
+      {
+        // The shard's graph tears down inside the timed device compute.
         model::ModelOutput out = net.forward(b, model::ForwardMode::kTrain);
         train::LossResult loss =
             train::chgnet_loss(out, b, cfg_.weights, cfg_.huber_delta);
         loss_value = loss.total.item();
         if (std::isfinite(loss_value) || !cfg_.guard_nonfinite) {
           ag::backward(loss.total);
-          ran_backward = true;
-        }
-        if (capturing) {
-          scope.reset();
-          if (ran_backward) {
-            rec.tap(loss.total.value());
-            cache.store(key, rec.finish());
-          } else {
-            cache.abort_capture(key);
-          }
         }
       }
 

@@ -149,12 +149,8 @@ class DataParallelTrainer {
     return device_pools_[static_cast<std::size_t>(d)];
   }
 
-  /// Device `d`'s recorded-step replay cache (core/replay.hpp).  One cache
-  /// per virtual device: programs bake that replica's parameter/gradient
-  /// pointers, so they must never be shared across replicas.
-  const replay::ProgramCache& replay_cache(int d) const {
-    return *replay_caches_[static_cast<std::size_t>(d)];
-  }
+  /// Always-empty replay statistics (see perf::ReplayCacheStub).
+  perf::ReplayCacheStub replay_cache(int) const { return {}; }
 
  private:
   void all_reduce_gradients();
@@ -175,9 +171,6 @@ class DataParallelTrainer {
   std::vector<std::unique_ptr<model::CHGNet>> replicas_;
   std::vector<std::unique_ptr<train::Adam>> opts_;
   std::vector<alloc::AllocatorPtr> device_pools_;  ///< one pool per device
-  /// One replay program cache per device (keys are namespaced by device id
-  /// as well, so even a hash collision cannot cross replicas).
-  std::vector<std::unique_ptr<replay::ProgramCache>> replay_caches_;
   std::vector<int> alive_;  ///< device ids still in the ring, ascending
   float lr_;
   float backoff_scale_ = 1.0f;

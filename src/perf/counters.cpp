@@ -38,12 +38,6 @@ void Counters::reset() {
   pool_misses = 0;
   system_allocs = 0;
   pool_trimmed_bytes = 0;
-  replay_hits = 0;
-  replay_misses = 0;
-  replay_fallbacks = 0;
-  replay_captures = 0;
-  // replay_plan_bytes is a gauge of slabs held by live programs (like
-  // bytes_live), not a rate: it survives resets untouched.
   // Slabs survive resets by design (they are the warm state pooling exists
   // for); the high-water mark rebases onto them like bytes_peak does onto
   // bytes_live.
@@ -105,37 +99,6 @@ void track_pool_slab(std::int64_t delta) {
 void track_pool_trim(std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(counters_mutex());
   counters().pool_trimmed_bytes += bytes;
-}
-
-void track_replay_hit() {
-  std::lock_guard<std::mutex> lock(counters_mutex());
-  counters().replay_hits += 1;
-}
-
-void track_replay_miss() {
-  std::lock_guard<std::mutex> lock(counters_mutex());
-  counters().replay_misses += 1;
-}
-
-void track_replay_fallback() {
-  std::lock_guard<std::mutex> lock(counters_mutex());
-  counters().replay_fallbacks += 1;
-}
-
-void track_replay_capture() {
-  std::lock_guard<std::mutex> lock(counters_mutex());
-  counters().replay_captures += 1;
-}
-
-void track_replay_plan_bytes(std::int64_t delta) {
-  std::lock_guard<std::mutex> lock(counters_mutex());
-  Counters& c = counters();
-  if (delta >= 0) {
-    c.replay_plan_bytes += static_cast<std::uint64_t>(delta);
-  } else {
-    const auto d = static_cast<std::uint64_t>(-delta);
-    c.replay_plan_bytes -= (d <= c.replay_plan_bytes) ? d : c.replay_plan_bytes;
-  }
 }
 
 void count_event(const char* name, std::uint64_t n) {

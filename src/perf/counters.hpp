@@ -42,24 +42,11 @@ struct Counters {
   /// -- the long-lived-server watermark policy (docs/memory.md) aggregated
   /// across every pool in the process.
   std::uint64_t pool_trimmed_bytes = 0;
-  // Recorded-step replay accounting (core/replay.hpp, docs/replay.md).
-  // hits = steps executed as flat pre-planned programs, misses = cache
-  // lookups that ran eager (cold key, warm-up sighting, capture in flight,
-  // program busy on another thread), fallbacks = the subset of misses where
-  // a cached program existed but could not be used (bind/validation failure
-  // or lease contention), captures = programs recorded and stored.  Like
-  // the pool counters these fire from serve workers concurrently, so they
-  // live under the same mutex as every other mutation -- including reset(),
-  // which zeroes the rates but NOT replay_plan_bytes: that is a gauge of
-  // slab bytes currently held by live programs (analogous to bytes_live).
+  // Always 0: every step runs eager, so nothing is replayed or fused away.
+  // The fields stay because bench/e2e reads them for its `replay.hit_rate`
+  // and `fuse.kernel_frac` rows.
   std::uint64_t replay_hits = 0;
   std::uint64_t replay_misses = 0;
-  std::uint64_t replay_fallbacks = 0;
-  std::uint64_t replay_captures = 0;
-  std::uint64_t replay_plan_bytes = 0;
-  // Always 0.  Replayed tapes run the kernels their eager step launched,
-  // so no kernel is ever removed; the field stays because bench/e2e reads
-  // it for its `fuse.kernel_frac` row.
   std::uint64_t fuse_kernels_removed = 0;
   // Per-op-name launch counts (for attribution tables in benches).
   std::map<std::string, std::uint64_t> per_op;
@@ -101,14 +88,6 @@ void track_pool_miss();                  ///< pooled request that went upstream
 void track_pool_slab(std::int64_t delta);  ///< slab bytes acquired (+) / trimmed (-)
 void track_pool_trim(std::uint64_t bytes); ///< slab bytes released by a trim
 
-/// Replay-layer hooks (called by core/replay.cpp only).
-void track_replay_hit();
-void track_replay_miss();
-void track_replay_fallback();
-void track_replay_capture();
-/// Program slab acquired (+) at capture / released (-) at destruction.
-void track_replay_plan_bytes(std::int64_t delta);
-
 /// Record `n` occurrences of a robustness event (e.g. "serve.fp32_fallback",
 /// "md.dt_halved").  See docs/serving.md for the event vocabulary.
 void count_event(const char* name, std::uint64_t n = 1);
@@ -123,5 +102,15 @@ void reset_kernels();
 void reset_peak();
 /// Enable/disable per-op attribution (small map overhead when on).
 void set_per_op(bool enabled);
+
+/// What the trainer, DP trainer and serve engine return from
+/// `replay_cache()`.  Its only reader is bench/e2e, which reports
+/// `replay_cache().stats().hits`; every step runs eager, so that is 0.
+struct ReplayCacheStub {
+  struct Stats {
+    std::uint64_t hits = 0;
+  };
+  Stats stats() const { return {}; }
+};
 
 }  // namespace fastchg::perf

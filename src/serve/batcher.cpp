@@ -1,7 +1,6 @@
 #include "serve/batcher.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <sstream>
 
 #include "autograd/ops.hpp"
@@ -12,24 +11,6 @@
 #include "serve/watchdog.hpp"
 
 namespace fastchg::serve {
-
-namespace {
-
-/// Key namespace for the serve replay site.  The served net's address is
-/// mixed in as well: MicroBatcher::run takes the net per call, and two nets
-/// (fp32 vs int8 replica) must never share a program.
-constexpr std::uint64_t kServeReplaySeed = 0x5345525645ull;  // "SERVE"
-
-/// Pointer-stability list for serve programs: parameter values (frozen at
-/// serve time, baked into the program) plus the AtomRef table.
-std::vector<Tensor> replay_stable(const model::CHGNet& net) {
-  std::vector<Tensor> v;
-  for (const ag::Var& p : net.parameters()) v.push_back(p.value());
-  if (net.has_atom_ref()) v.push_back(net.atom_ref());
-  return v;
-}
-
-}  // namespace
 
 Prediction unpack_structure(const model::ModelOutput& out,
                             const data::Batch& b, index_t s) {
@@ -84,56 +65,11 @@ void MicroBatcher::serve_span(
   }
   if (cfg_.corrupt_batch) cfg_.corrupt_batch(b, ids);
 
-  // Recorded-step replay: keyed on the (possibly corrupted) batch topology
-  // -- a poisoned float payload shares a clean batch's key by design, since
-  // programs are value-independent; the watchdog below still catches it.
-  std::uint64_t key = 0;
-  replay::ProgramCache::Lease lease;
-  if (cfg_.replay && replay_cache_) {
-    key = data::replay_key(
-        b, kServeReplaySeed ^ static_cast<std::uint64_t>(
-                                  reinterpret_cast<std::uintptr_t>(&net)));
-    lease = replay_cache_->acquire(key);
-    if (lease.action == replay::ProgramCache::Action::kReplay &&
-        !lease.program->bind(data::replay_inputs(b), replay_stable(net))) {
-      replay_cache_->invalidate(key);
-      lease = replay::ProgramCache::Lease{};
-    }
-  }
-
   model::ModelOutput mo;
   bool fault = false;
   std::string msg;
   try {
-    if (lease.action == replay::ProgramCache::Action::kReplay) {
-      perf::TraceSpan span("serve.batch.replay", "serve");
-      lease.program->run();
-      // Rebuild the output from the tapped slots (copies; the program's
-      // tap buffers are reused by the next lease holder).
-      mo.energy_per_atom = ag::ops::constant(lease.program->tap_value(0));
-      mo.forces = ag::ops::constant(lease.program->tap_value(1));
-      mo.stress = ag::ops::constant(lease.program->tap_value(2));
-      if (lease.program->tap_count() > 3) {
-        mo.magmom = ag::ops::constant(lease.program->tap_value(3));
-      }
-    } else if (lease.action == replay::ProgramCache::Action::kCapture) {
-      replay::Recorder rec;
-      for (const Tensor& t : data::replay_inputs(b)) rec.bind_input(t);
-      for (const Tensor& t : replay_stable(net)) rec.expect_stable(t);
-      try {
-        replay::RecorderScope scope(rec);
-        perf::TraceSpan span("serve.batch.forward", "serve");
-        mo = net.forward(b, model::ForwardMode::kEval);
-      } catch (...) {
-        replay_cache_->abort_capture(key);
-        throw;
-      }
-      rec.tap(mo.energy_per_atom.value());
-      rec.tap(mo.forces.value());
-      rec.tap(mo.stress.value());
-      if (mo.magmom.defined()) rec.tap(mo.magmom.value());
-      replay_cache_->store(key, rec.finish());
-    } else {
+    {
       perf::TraceSpan span("serve.batch.forward", "serve");
       mo = net.forward(b, model::ForwardMode::kEval);
     }

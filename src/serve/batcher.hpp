@@ -28,7 +28,6 @@
 
 #include "chgnet/model.hpp"
 #include "core/alloc.hpp"
-#include "core/replay.hpp"
 #include "serve/error.hpp"
 #include "serve/prediction.hpp"
 
@@ -70,20 +69,10 @@ class MicroBatcher {
     /// request through bisection.  Never set in production.
     std::function<void(data::Batch&, const std::vector<std::size_t>&)>
         corrupt_batch;
-    /// Recorded-step replay of the fused eval forward (core/replay.hpp):
-    /// repeated batch topologies skip graph construction and dispatch
-    /// entirely.  Gated globally by FASTCHG_REPLAY as well.
-    bool replay = true;
-    std::size_t replay_capacity = 16;  ///< cached programs (LRU)
   };
 
-  MicroBatcher()
-      : replay_cache_(std::make_shared<replay::ProgramCache>(
-            Config{}.replay_capacity)) {}
-  explicit MicroBatcher(Config cfg)
-      : cfg_(std::move(cfg)),
-        replay_cache_(
-            std::make_shared<replay::ProgramCache>(cfg_.replay_capacity)) {}
+  MicroBatcher() = default;
+  explicit MicroBatcher(Config cfg) : cfg_(std::move(cfg)) {}
 
   /// Serve every item through fused forwards; replies come back in item
   /// order, each either a Prediction or a typed error.  Thread-safe w.r.t.
@@ -94,10 +83,6 @@ class MicroBatcher {
 
   const Config& config() const { return cfg_; }
 
-  /// Replay program cache shared by every worker of this batcher
-  /// (hit/miss/capture stats for tests and benchmarks).
-  const replay::ProgramCache& replay_cache() const { return *replay_cache_; }
-
  private:
   /// Serve items[lo, hi) as one fused forward, bisecting on numeric faults.
   void serve_span(const model::CHGNet& net,
@@ -107,9 +92,6 @@ class MicroBatcher {
                   BatchRunStats& stats) const;
 
   Config cfg_;
-  /// Shared (run() is const, workers are concurrent); ProgramCache is
-  /// internally synchronized and hands out per-program run leases.
-  std::shared_ptr<replay::ProgramCache> replay_cache_;
 };
 
 /// Slice structure `s` of a fused forward back into a per-request reply.

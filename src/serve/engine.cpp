@@ -20,8 +20,6 @@ InferenceEngine::InferenceEngine(const model::CHGNet& net, EngineConfig cfg)
         bc.workers = cfg.batch_workers;
         bc.arena = cfg.arena;
         bc.corrupt_batch = cfg.corrupt_batch;
-        bc.replay = cfg.replay;
-        bc.replay_capacity = cfg.replay_capacity;
         return bc;
       }()) {
   if (cfg_.quantize) {

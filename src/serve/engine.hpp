@@ -36,6 +36,7 @@
 #include "core/alloc.hpp"
 #include "fastchgnet/quantize.hpp"
 #include "parallel/fault.hpp"
+#include "perf/counters.hpp"
 #include "perf/timer.hpp"
 #include "serve/batcher.hpp"
 #include "serve/prediction.hpp"
@@ -63,11 +64,6 @@ struct EngineConfig {
   // Dynamic micro-batching (queued path).
   index_t max_batch = 8;   ///< structures fused per forward tick (>= 1)
   int batch_workers = 1;   ///< max concurrently executing micro-batches
-
-  // Recorded-step replay of fused forwards (core/replay.hpp; also gated
-  // globally by FASTCHG_REPLAY).  Forwarded to the micro-batcher.
-  bool replay = true;
-  std::size_t replay_capacity = 16;
 
   // Structure-fingerprint LRU cache (queued path; 0 disables).
   std::size_t cache_capacity = 0;
@@ -182,10 +178,8 @@ class InferenceEngine {
   /// The int8-round-tripped replica (nullptr when quantize = false).
   /// Exposed for diagnostics and fault-injection tests.
   model::CHGNet* quantized_replica() { return replica_.get(); }
-  /// Replay program cache behind the queued path's fused forwards.
-  const replay::ProgramCache& replay_cache() const {
-    return batcher_.replay_cache();
-  }
+  /// Always-empty replay statistics (see perf::ReplayCacheStub).
+  perf::ReplayCacheStub replay_cache() const { return {}; }
 
  private:
   /// One forward through `m` plus the numeric watchdog.

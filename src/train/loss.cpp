@@ -1,7 +1,6 @@
 #include "train/loss.hpp"
 
 #include "autograd/ops.hpp"
-#include "core/replay.hpp"
 
 namespace fastchg::train {
 
@@ -18,20 +17,11 @@ void huber_mask_loop(index_t n, float delta, const float* p, float* m) {
 Var huber(const Var& pred, const Var& target, float delta) {
   Var d = sub(pred, target);
   Var ad = abs_op(d);
-  // Branch mask as a constant (standard subgradient treatment).  The mask
-  // depends on |d| values, so it is recorded for replay (counted=false:
-  // the eager path records no kernel launch for it).
+  // Branch mask as a constant (standard subgradient treatment); no kernel
+  // launch is counted for it.
   Tensor mask_t = Tensor::empty(ad.shape());
   const index_t n = ad.numel();
   huber_mask_loop(n, delta, ad.value().data(), mask_t.data());
-  if (auto* rec = replay::Recorder::active()) {
-    const int sa = rec->note_input(ad.value());
-    const int sm = rec->note_output(mask_t);
-    rec->push("huber_mask", /*counted=*/false, {sa}, sm,
-              [n, delta, sa, sm](float* const* S) {
-                huber_mask_loop(n, delta, S[sa], S[sm]);
-              });
-  }
   Var mask = constant(std::move(mask_t));
   Var quad = mul_scalar(square(d), 0.5f);
   Var lin = mul_scalar(add_scalar(ad, -0.5f * delta), delta);
@@ -52,10 +42,6 @@ LossResult chgnet_loss(const model::ModelOutput& out, const data::Batch& b,
   r.magmom = lm.item();
   r.total = add(add(mul_scalar(le, w.energy), mul_scalar(lf, w.force)),
                 add(mul_scalar(ls, w.stress), mul_scalar(lm, w.magmom)));
-  r.energy_v = le;
-  r.force_v = lf;
-  r.stress_v = ls;
-  r.magmom_v = lm;
   return r;
 }
 

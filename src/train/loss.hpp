@@ -27,13 +27,6 @@ struct LossResult {
   double force;
   double stress;
   double magmom;
-  /// Unweighted component scalars as Vars.  The trainer taps their value
-  /// tensors for recorded-step replay, so a replayed step can report the
-  /// same per-property stats an eager step computes via .item().
-  Var energy_v;
-  Var force_v;
-  Var stress_v;
-  Var magmom_v;
 };
 
 LossResult chgnet_loss(const model::ModelOutput& out, const data::Batch& b,

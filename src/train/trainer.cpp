@@ -12,40 +12,6 @@
 
 namespace fastchg::train {
 
-namespace {
-
-/// Key namespace for the trainer's replay site (one key space per site so
-/// e.g. a DP device replica never replays a trainer program).
-constexpr std::uint64_t kTrainerReplaySeed = 0x545241494eull;  // "TRAIN"
-
-/// Pointer-stability validation list for trainer replay programs: parameter
-/// values and gradient accumulators, in parameter order.  Any storage
-/// replacement (checkpoint restore) fails bind() and triggers re-capture.
-std::vector<Tensor> replay_stable(const std::vector<ag::Var>& params) {
-  std::vector<Tensor> v;
-  v.reserve(2 * params.size());
-  for (const ag::Var& p : params) {
-    v.push_back(p.value());
-    v.push_back(p.grad());
-  }
-  return v;
-}
-
-/// Define a zero gradient for any parameter that has none yet.  Replay is
-/// only sound once every gradient tensor exists: the tape records in-place
-/// `grad += g`, and a grad first materialized *during* capture (backward's
-/// first-touch clone) would be invisible to later replays.  A parameter
-/// backward never reaches (an architecturally unused block) keeps an
-/// all-zero grad, for which Adam's update is a bitwise no-op -- identical
-/// to the skip it applies to a grad-less parameter.
-void warm_grads(const std::vector<ag::Var>& params) {
-  for (ag::Var p : params) {
-    if (!p.has_grad()) p.set_grad(Tensor::zeros(p.shape()));
-  }
-}
-
-}  // namespace
-
 bool gradients_finite(const std::vector<ag::Var>& params) {
   for (const ag::Var& p : params) {
     if (!p.has_grad()) continue;
@@ -121,55 +87,12 @@ EpochStats Trainer::train_epoch(const data::Dataset& ds,
     opt_.set_lr(sched.lr_at(global_step_) * backoff_scale_);
     if (micro == 0) opt_.zero_grad();
 
-    // Recorded-step replay (core/replay.hpp): 1st sighting of this batch
-    // topology runs eager, 2nd captures the step tape, 3rd+ replays it.
-    // zero_grad and the optimizer stay outside the tape, so the program is
-    // exactly "forward + loss + backward-accumulate" and composes with
-    // gradient accumulation unchanged.
-    std::uint64_t key = 0;
-    replay::ProgramCache::Lease lease;
-    if (replay::replay_enabled()) {
-      warm_grads(params);
-      key = data::replay_key(b, kTrainerReplaySeed);
-      lease = replay_cache_.acquire(key);
-      if (lease.action == replay::ProgramCache::Action::kReplay &&
-          !lease.program->bind(data::replay_inputs(b),
-                               replay_stable(params))) {
-        // A stable pointer moved (e.g. checkpoint restore) or the bind
-        // lists diverged: drop the program and run this step eager.
-        replay_cache_.invalidate(key);
-        lease = replay::ProgramCache::Lease{};
-      }
-    }
-
     double loss_total = 0.0, loss_energy = 0.0, loss_force = 0.0,
            loss_stress = 0.0, loss_magmom = 0.0;
     bool finite = true;
-    if (lease.action == replay::ProgramCache::Action::kReplay) {
-      {
-        perf::TraceSpan span("train.replay", "train");
-        lease.program->run();
-      }
-      loss_energy = lease.program->tap_value(0).data()[0];
-      loss_force = lease.program->tap_value(1).data()[0];
-      loss_stress = lease.program->tap_value(2).data()[0];
-      loss_magmom = lease.program->tap_value(3).data()[0];
-      loss_total = lease.program->tap_value(4).data()[0];
-      // The tape always includes backward; a non-finite loss means the
-      // accumulated gradients are garbage, but the guard branch below
-      // zeroes them -- the exact state the eager guard converges to.
-      finite = !cfg_.guard_nonfinite ||
-               (std::isfinite(loss_total) && gradients_finite(params));
-    } else {
-      const bool capturing =
-          lease.action == replay::ProgramCache::Action::kCapture;
-      replay::Recorder rec;
-      std::optional<replay::RecorderScope> scope;
-      if (capturing) {
-        for (const Tensor& t : data::replay_inputs(b)) rec.bind_input(t);
-        for (const Tensor& t : replay_stable(params)) rec.expect_stable(t);
-        scope.emplace(rec);
-      }
+    {
+      // The step's graph lives in this scope and tears down before the
+      // optimizer runs.
       model::ModelOutput out;
       LossResult loss;
       {
@@ -187,7 +110,6 @@ EpochStats Trainer::train_epoch(const data::Dataset& ds,
       // gradients would be garbage anyway); a finite loss can still produce
       // non-finite gradients, so those are checked after backward.
       finite = !cfg_.guard_nonfinite || std::isfinite(loss_total);
-      const bool ran_backward = finite;
       if (finite) {
         perf::TraceSpan span("train.backward", "train");
         ag::backward(accum == 1
@@ -195,22 +117,6 @@ EpochStats Trainer::train_epoch(const data::Dataset& ds,
                          : ag::ops::mul_scalar(
                                loss.total, 1.0f / static_cast<float>(accum)));
         if (cfg_.guard_nonfinite) finite = gradients_finite(params);
-      }
-      if (capturing) {
-        scope.reset();
-        if (ran_backward) {
-          // Tap the per-property scalars so a replayed step reports the
-          // same stats an eager step reads via .item().
-          rec.tap(loss.energy_v.value());
-          rec.tap(loss.force_v.value());
-          rec.tap(loss.stress_v.value());
-          rec.tap(loss.magmom_v.value());
-          rec.tap(loss.total.value());
-          replay_cache_.store(key, rec.finish());
-        } else {
-          // Backward was skipped: the tape is structurally incomplete.
-          replay_cache_.abort_capture(key);
-        }
       }
     }
 

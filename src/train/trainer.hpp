@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/alloc.hpp"
-#include "core/replay.hpp"
+#include "perf/counters.hpp"
 #include "train/adam.hpp"
 #include "train/atom_ref.hpp"
 #include "train/loss.hpp"
@@ -105,9 +105,8 @@ class Trainer {
   /// Total steps skipped by the guard across all epochs.
   index_t skipped_steps() const { return skipped_steps_; }
 
-  /// Recorded-step replay cache (hit/miss/capture stats for tests and
-  /// benchmarks; see core/replay.hpp).
-  const replay::ProgramCache& replay_cache() const { return replay_cache_; }
+  /// Always-empty replay statistics (see perf::ReplayCacheStub).
+  perf::ReplayCacheStub replay_cache() const { return {}; }
 
   /// Optional per-epoch callback (epoch index, stats).
   std::function<void(index_t, const EpochStats&)> on_epoch;
@@ -127,12 +126,6 @@ class Trainer {
   /// warm-up a steady-state step touches the system allocator ~zero times
   /// (see docs/memory.md; asserted by bench_memory_arena).
   alloc::AllocatorPtr step_pool_ = std::make_shared<alloc::PoolAllocator>();
-  /// Recorded-step replay: the second time a batch topology is seen the
-  /// whole forward+loss+backward step is captured as a flat closure program
-  /// (core/replay.hpp); later sightings replay it with no graph rebuild.
-  /// Only engaged once every parameter gradient is warm, so the tape records
-  /// pure `grad += g` accumulation (composes with accumulation_steps).
-  replay::ProgramCache replay_cache_{8};
 };
 
 /// True when every accumulated gradient of `params` is finite (params

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "core/parallel_for.hpp"
 #include "md/md.hpp"
 #include "md/relax.hpp"
 
@@ -84,6 +87,37 @@ TEST(MD, NVEEnergyConservationWithDerivativeForces) {
       std::max({std::fabs(e0), sim.kinetic_energy(), 1e-3});
   EXPECT_NEAR(e1, e0, 0.05 * scale)
       << "E0 " << e0 << " E1 " << e1 << " KE " << sim.kinetic_energy();
+}
+
+TEST(MD, TrajectoryIndependentOfThreadCount) {
+  // Every kernel on the forward is bitwise independent of the thread count,
+  // so a fixed number of Verlet steps lands on the same bytes.
+  model::CHGNet net(tiny_config(true), 6);
+  const data::Crystal start = small_crystal(913);
+  const auto run = [&](int threads) {
+    set_num_threads(threads);
+    MDConfig cfg;
+    cfg.dt_fs = 0.5;
+    cfg.seed = 7;
+    MDSimulator sim(net, start, cfg);
+    std::vector<double> trace;  // per step: E_pot, E_tot, then frac coords
+    for (int s = 0; s < 8; ++s) {
+      sim.step(1);
+      trace.push_back(sim.potential_energy());
+      trace.push_back(sim.total_energy());
+      for (const auto& f : sim.crystal().frac) {
+        trace.insert(trace.end(), f.begin(), f.end());
+      }
+    }
+    return trace;
+  };
+  const int saved = num_threads();
+  const std::vector<double> one = run(1);
+  const std::vector<double> four = run(4);
+  set_num_threads(saved);
+  ASSERT_EQ(one.size(), four.size());
+  EXPECT_EQ(0, std::memcmp(one.data(), four.data(),
+                           one.size() * sizeof(double)));
 }
 
 TEST(MD, StepCounterAndTimer) {

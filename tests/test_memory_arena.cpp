@@ -96,7 +96,6 @@ TEST_F(MemoryArenaTest, ServeTickLiveBytesReturnToBaseline) {
   model::CHGNet net(tiny_config(), 6);
   serve::EngineConfig cfg;
   cfg.cache_capacity = 0;  // a cache legitimately retains tensors
-  cfg.replay = false;      // ditto: captured programs retain their slab
   serve::InferenceEngine engine(net, cfg);
   data::Dataset ds = small_dataset(6, 99);
 

@@ -414,10 +414,19 @@ TEST(Model, EvalModeUsesNoGraphForDecoupled) {
 
 /// Every parameter's gradient of the stage-3 training loss on `b`, after one
 /// backward with the given create_graph flag.
-std::vector<std::vector<float>> loss_param_grads(CHGNet& net, const Batch& b,
-                                                 bool create_graph) {
+/// Parameter gradients of the training loss on `b`.  When `outputs` is
+/// given it receives the forward's energy, forces, stress and magmom.
+std::vector<std::vector<float>> loss_param_grads(
+    CHGNet& net, const Batch& b, bool create_graph,
+    std::vector<std::vector<float>>* outputs = nullptr) {
   net.zero_grad();
   ModelOutput out = net.forward(b, ForwardMode::kTrain);
+  if (outputs != nullptr) {
+    *outputs = {out.energy_per_atom.value().to_vector(),
+                out.forces.value().to_vector(),
+                out.stress.value().to_vector(),
+                out.magmom.value().to_vector()};
+  }
   ag::backward(train::chgnet_loss(out, b).total, {}, create_graph);
   std::vector<std::vector<float>> grads;
   for (auto& p : net.parameters()) {
@@ -466,11 +475,22 @@ TEST(Model, FirstOrderGradientsIndependentOfThreadCount) {
   Batch b = stage3_batch();
   CHGNet net(ModelConfig::optimization_stage(3), 22);
   const int saved = num_threads();
+  std::vector<std::vector<float>> out_one, out_four;
   set_num_threads(1);
-  const auto one = loss_param_grads(net, b, /*create_graph=*/false);
+  const auto one = loss_param_grads(net, b, /*create_graph=*/false, &out_one);
   set_num_threads(4);
-  const auto four = loss_param_grads(net, b, /*create_graph=*/false);
+  const auto four =
+      loss_param_grads(net, b, /*create_graph=*/false, &out_four);
   set_num_threads(saved);
+  const char* kOutputs[] = {"energy", "forces", "stress", "magmom"};
+  ASSERT_EQ(out_one.size(), 4u);
+  ASSERT_EQ(out_four.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(out_one[i].size(), out_four[i].size()) << kOutputs[i];
+    EXPECT_EQ(0, std::memcmp(out_one[i].data(), out_four[i].data(),
+                             out_one[i].size() * sizeof(float)))
+        << kOutputs[i];
+  }
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     ASSERT_EQ(one[i].size(), four[i].size());

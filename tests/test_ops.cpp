@@ -185,11 +185,6 @@ TEST_F(OpsDifferential, EltwiseAccumulatorsBitExact) {
     auto a = random_vec(rng_, n);
     auto o0 = random_vec(rng_, n);
     auto os = o0, ov = o0;
-    eltwise::scalar::acc(n, a.data(), os.data());
-    eltwise::avx2::acc(n, a.data(), ov.data());
-    EXPECT_TRUE(bitwise_equal(os, ov)) << "acc n=" << n;
-    os = o0;
-    ov = o0;
     eltwise::scalar::axpy(n, 0.37f, a.data(), os.data());
     eltwise::avx2::axpy(n, 0.37f, a.data(), ov.data());
     EXPECT_TRUE(bitwise_equal(os, ov)) << "axpy n=" << n;

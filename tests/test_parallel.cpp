@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 
+#include "golden_fixtures.hpp"
 #include "parallel/data_parallel.hpp"
 #include "parallel/scaling.hpp"
 #include "perf/trace.hpp"
@@ -190,6 +191,28 @@ TEST(DataParallel, ReplicasStayBitIdentical) {
   dp.train_epoch(ds, rows, 0);
   // DDP invariant: identical averaged grads + identical optimizer state.
   EXPECT_EQ(dp.replica_divergence(), 0.0f);
+}
+
+// Counted kernels of one device step (forward + loss + backward on two
+// crystals) on the golden fixture.  It changes only when the model's op
+// schedule changes -- update it deliberately.
+constexpr std::uint64_t kGoldenDpKernels = 2501;
+
+TEST(GoldenKernels, DataParallelIterationLaunchesExactCount) {
+  data::Dataset ds = golden::identical_rows(16, 71);
+  DataParallelConfig cfg;
+  cfg.num_devices = 2;
+  cfg.global_batch = 4;
+  DataParallelTrainer dp(golden::golden_config(), cfg, 17);
+  for (index_t e = 0; e < 3; ++e) dp.train_epoch(ds, all_rows(ds), e);
+
+  // One iteration: two structures on each of the two devices.
+  const std::vector<index_t> batch = {0, 1, 2, 3};
+  for (index_t e = 3; e < 5; ++e) {
+    EXPECT_EQ(golden::launches_during([&] { dp.train_epoch(ds, batch, e); }),
+              2 * kGoldenDpKernels)
+        << "epoch " << e;
+  }
 }
 
 TEST(DataParallel, MatchesSingleDeviceGradientAccumulation) {

@@ -20,6 +20,7 @@
 #include "core/parallel_for.hpp"
 #include "data/batch.hpp"
 #include "data/generator.hpp"
+#include "golden_fixtures.hpp"
 #include "parallel/fault.hpp"
 #include "perf/counters.hpp"
 #include "serve/batcher.hpp"
@@ -161,6 +162,31 @@ TEST(BatchEquivalence, EngineDrainMatchesPredict) {
     expect_equivalent(replies[i].value(), want.value(),
                       "drain vs predict, struct " + std::to_string(i));
   }
+}
+
+// Counted kernels of one engine tick that serves the golden fixture's four
+// crystals as a single fused forward.  It changes only when the model's op
+// schedule changes -- update it deliberately.
+constexpr std::uint64_t kGoldenServeKernels = 1215;
+
+TEST(GoldenKernels, ServeTickLaunchesExactCount) {
+  data::Dataset ds = golden::identical_rows(4, 81);
+  model::CHGNet net(golden::golden_config(), 12);
+  EngineConfig cfg;
+  cfg.max_batch = 4;
+  cfg.cache_capacity = 0;  // a result-cache hit would skip the forward
+  InferenceEngine engine(net, cfg);
+  const auto tick = [&] {
+    for (index_t i = 0; i < ds.size(); ++i) {
+      ASSERT_TRUE(engine.submit(ds[i].crystal).ok());
+    }
+    for (const auto& r : engine.drain()) ASSERT_TRUE(r.ok());
+  };
+  for (int i = 0; i < 4; ++i) tick();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(golden::launches_during(tick), kGoldenServeKernels) << i;
+  }
+  EXPECT_EQ(engine.stats().micro_batches, 6u);
 }
 
 // ------------------------------------------------ poisoned-batch isolation --

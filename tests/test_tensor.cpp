@@ -144,6 +144,23 @@ TEST(ParallelFor, ThreadCountInvariantResults) {
   EXPECT_EQ(r1, r4);
 }
 
+TEST(ParallelFor, RunsRightAfterResize) {
+  // Helpers spawned by set_num_threads must wake only for the next run.
+  // Waking on the last finished one would count a helper out twice and
+  // could leave the caller waiting forever.
+  const int original = num_threads();
+  std::vector<int> hits(256);
+  for (int rep = 0; rep < 10000; ++rep) {
+    set_num_threads(2 + rep % 3);
+    std::fill(hits.begin(), hits.end(), 0);
+    parallel_for(0, 256, 8, [&](index_t lo, index_t hi) {
+      for (index_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+    });
+    for (int h : hits) ASSERT_EQ(h, 1) << "rep " << rep;
+  }
+  set_num_threads(original);
+}
+
 TEST(ParallelFor, SetNumThreadsRoundTrip) {
   const int original = num_threads();
   set_num_threads(3);

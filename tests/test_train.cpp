@@ -8,6 +8,7 @@
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
+#include "golden_fixtures.hpp"
 #include "train/trainer.hpp"
 
 namespace fastchg::train {
@@ -301,6 +302,31 @@ TEST(PrefetchTrainer, IdenticalResultsWithAndWithoutPrefetch) {
     return weights;
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+// Counted kernels of one trainer step (forward + loss + backward) on the
+// golden fixture's four-crystal batch.  It changes only when the model's op
+// schedule changes -- update it deliberately.
+constexpr std::uint64_t kGoldenTrainerKernels = 3585;
+
+TEST(GoldenKernels, TrainerStepLaunchesExactCount) {
+  data::Dataset ds = golden::identical_rows(12, 51);
+  model::CHGNet net(golden::golden_config(), 9);
+  TrainConfig tc;
+  tc.batch_size = 4;
+  tc.epochs = 4;
+  Trainer trainer(net, tc);
+  std::vector<index_t> rows;
+  for (index_t i = 0; i < ds.size(); ++i) rows.push_back(i);
+  trainer.fit(ds, rows);
+
+  const std::vector<index_t> batch = {0, 1, 2, 3};
+  for (index_t epoch = 4; epoch < 6; ++epoch) {
+    EXPECT_EQ(golden::launches_during(
+                  [&] { trainer.train_epoch(ds, batch, epoch); }),
+              kGoldenTrainerKernels)
+        << "epoch " << epoch;
+  }
 }
 
 // ---------------------------------------------------------------------------

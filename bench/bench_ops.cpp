@@ -1,7 +1,8 @@
 // SIMD op library microbenchmarks (src/ops/, docs/ops.md): per-kernel
-// GFLOP/s for the scalar reference tier vs the AVX2+FMA tier, on the op
-// shapes the training step and the fused serve forward actually run
-// (feature width 32-64, basis 15, few-thousand-edge graphs).
+// GFLOP/s for the scalar reference tier vs the AVX2+FMA tier of the three
+// tiered families (GEMM, basis, rownorm), on the op shapes the training
+// step and the fused serve forward actually run (feature width 64, basis
+// 15, few-thousand-edge graphs).
 //
 // Emitted metrics (BENCH_trace_ops.json, gated by tools/perf_gate):
 //
@@ -24,10 +25,7 @@
 #include "bench_common.hpp"
 #include "ops/basis.hpp"
 #include "ops/dispatch.hpp"
-#include "ops/eltwise.hpp"
-#include "ops/gather_scatter.hpp"
 #include "ops/gemm.hpp"
-#include "ops/reduce.hpp"
 #include "ops/rownorm.hpp"
 #include "perf/timer.hpp"
 
@@ -83,37 +81,6 @@ int bench_ops_main(int argc, char** argv) {
 
   std::mt19937 rng(20260808u);
   std::vector<FamilyRow> rows;
-
-  {  // eltwise: L1-resident chunks, many invocations
-    const index_t n = 1 << 11;
-    const int inner = 512;
-    auto a = random_vec(rng, n, -2.0f, 2.0f);
-    auto b = random_vec(rng, n, 0.5f, 2.0f);
-    std::vector<float> o(a.size());
-    const double flops = static_cast<double>(n) * inner;
-    const double ss = best_seconds([&] {
-      for (int i = 0; i < inner; ++i) {
-        ops::eltwise::scalar::mul(n, a.data(), b.data(), o.data());
-      }
-    });
-    const double sv = best_seconds([&] {
-      for (int i = 0; i < inner; ++i) {
-        ops::eltwise::avx2::mul(n, a.data(), b.data(), o.data());
-      }
-    });
-    rows.push_back({"eltwise.mul", flops, ss, sv});
-    const double as = best_seconds([&] {
-      for (int i = 0; i < inner; ++i) {
-        ops::eltwise::scalar::axpy(n, 0.37f, a.data(), o.data());
-      }
-    });
-    const double av = best_seconds([&] {
-      for (int i = 0; i < inner; ++i) {
-        ops::eltwise::avx2::axpy(n, 0.37f, a.data(), o.data());
-      }
-    });
-    rows.push_back({"eltwise.axpy", 2.0 * flops, as, av});
-  }
 
   {  // gemm: GatedMLP-shaped [batch*atoms, C] x [C, 2C]
     const index_t m = 256, k = 64, n = 128;
@@ -185,37 +152,6 @@ int bench_ops_main(int argc, char** argv) {
                                     o.data());
     });
     rows.push_back({"rownorm.ln", flops, ss, sv});
-  }
-
-  {  // gather/scatter: message aggregation shape (many edges, width 32)
-    const index_t k = 8192, nodes = 1024, w = 32;
-    auto s = random_vec(rng, k * w, -1.0f, 1.0f);
-    std::uniform_int_distribution<index_t> pick(0, nodes - 1);
-    std::vector<index_t> idx(static_cast<std::size_t>(k));
-    for (auto& i : idx) i = pick(rng);
-    std::vector<float> o(static_cast<std::size_t>(nodes * w));
-    const double flops = static_cast<double>(k) * w;
-    const double ss = best_seconds([&] {
-      ops::gather_scatter::scalar::scatter_add_rows(k, nodes, w, idx.data(),
-                                                    s.data(), o.data());
-    });
-    const double sv = best_seconds([&] {
-      ops::gather_scatter::avx2::scatter_add_rows(k, nodes, w, idx.data(),
-                                                  s.data(), o.data());
-    });
-    rows.push_back({"scatter_add", flops, ss, sv});
-  }
-
-  {  // reduce.sum_dim0: gradient column sums
-    const index_t r = 4096, c = 64;
-    auto x = random_vec(rng, r * c, -1.0f, 1.0f);
-    std::vector<float> o(static_cast<std::size_t>(c));
-    const double flops = static_cast<double>(r) * c;
-    const double ss = best_seconds(
-        [&] { ops::reduce::scalar::sum_dim0(r, c, x.data(), o.data()); });
-    const double sv = best_seconds(
-        [&] { ops::reduce::avx2::sum_dim0(r, c, x.data(), o.data()); });
-    rows.push_back({"reduce.dim0", flops, ss, sv});
   }
 
   bench::print_rule();

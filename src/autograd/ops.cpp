@@ -6,48 +6,24 @@
 #include <utility>
 
 #include "core/parallel_for.hpp"
-#include "ops/eltwise.hpp"
-#include "ops/gather_scatter.hpp"
 #include "ops/gemm.hpp"
-#include "ops/reduce.hpp"
 #include "perf/counters.hpp"
 
 // Every kernel here factors its arithmetic into a loop helper.  Pure aliases
 // (reshape, same-shape broadcast/sum_to, single-input cat) share storage and
 // launch no kernel of their own.
 //
-// SIMD dispatch (src/ops/): the loop helpers route per-element arithmetic,
-// GEMM, row gather/scatter and column sums through the tiered op library.
-// Ops in the bit-exact class produce identical bytes at every tier;
-// transcendentals and double-accumulated reductions stay pinned to the
-// scalar reference (see docs/ops.md), so the pool 0.0-diff gates and the
-// cross-tier bit-exactness tests hold under any FASTCHG_SIMD setting.
+// Element-wise arithmetic, row gather/scatter and the reductions have one
+// implementation each: the loop helper beside its caller, which never reads
+// the SIMD tier.  Only GEMM (and the fused basis/rownorm kernels, called from
+// their own modules) dispatch through the tiered op library in src/ops/
+// (docs/ops.md).
 
 namespace fastchg::ag::ops {
 
 namespace sops = ::fastchg::ops;
 
 namespace {
-
-/// Which ops::eltwise entry point an elementwise kernel routes through;
-/// kLoop runs the kernel's own scalar lambda (transcendentals, pow).
-enum class EOp {
-  kLoop,
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  kAddS,
-  kMulS,
-  kNeg,
-  kAbs,
-  kSquare,
-  kRecip,
-  kSqrt,
-  kSign,
-  kClamp,
-  kClampMask,
-};
 
 // --------------------------------------------------------------------------
 // Broadcast classification.  Only the patterns the model needs are allowed;
@@ -155,102 +131,9 @@ void binary_loop(BPat pat, index_t rows, index_t cols, index_t n,
   }
 }
 
-/// Dispatch-routing wrapper around binary_loop: the four arithmetic EOps
-/// run through ops::eltwise (vectorized under the AVX2 tier, per-element
-/// bit-exact at every tier); anything else falls back to the reference
-/// loop.
 template <class F>
-void binary_loop_d(EOp eop, BPat pat, index_t rows, index_t cols,
-                   index_t n, const float* pa, const float* pb, float* po,
-                   F f) {
-  if (eop != EOp::kAdd && eop != EOp::kSub && eop != EOp::kMul &&
-      eop != EOp::kDiv) {
-    binary_loop(pat, rows, cols, n, pa, pb, po, f);
-    return;
-  }
-  namespace ew = sops::eltwise;
-  switch (pat) {
-    case BPat::kSame:
-      switch (eop) {
-        case EOp::kAdd: ew::add(n, pa, pb, po); return;
-        case EOp::kSub: ew::sub(n, pa, pb, po); return;
-        case EOp::kMul: ew::mul(n, pa, pb, po); return;
-        default: ew::div(n, pa, pb, po); return;
-      }
-    case BPat::kAScalar: {
-      const float av = pa[0];
-      switch (eop) {
-        case EOp::kAdd: ew::add_s(n, pb, av, po); return;
-        case EOp::kSub: ew::rsub_s(n, pb, av, po); return;
-        case EOp::kMul: ew::mul_s(n, pb, av, po); return;
-        default: ew::rdiv_s(n, pb, av, po); return;
-      }
-    }
-    case BPat::kBScalar: {
-      const float bv = pb[0];
-      switch (eop) {
-        case EOp::kAdd: ew::add_s(n, pa, bv, po); return;
-        case EOp::kSub: ew::sub_s(n, pa, bv, po); return;
-        case EOp::kMul: ew::mul_s(n, pa, bv, po); return;
-        default: ew::div_s(n, pa, bv, po); return;
-      }
-    }
-    case BPat::kARow:
-      for (index_t r = 0; r < rows; ++r) {
-        const float* q = pb + r * cols;
-        float* d = po + r * cols;
-        switch (eop) {
-          case EOp::kAdd: ew::add(cols, pa, q, d); break;
-          case EOp::kSub: ew::sub(cols, pa, q, d); break;
-          case EOp::kMul: ew::mul(cols, pa, q, d); break;
-          default: ew::div(cols, pa, q, d); break;
-        }
-      }
-      return;
-    case BPat::kBRow:
-      for (index_t r = 0; r < rows; ++r) {
-        const float* q = pa + r * cols;
-        float* d = po + r * cols;
-        switch (eop) {
-          case EOp::kAdd: ew::add(cols, q, pb, d); break;
-          case EOp::kSub: ew::sub(cols, q, pb, d); break;
-          case EOp::kMul: ew::mul(cols, q, pb, d); break;
-          default: ew::div(cols, q, pb, d); break;
-        }
-      }
-      return;
-    case BPat::kACol:
-      for (index_t r = 0; r < rows; ++r) {
-        const float av = pa[r];
-        const float* q = pb + r * cols;
-        float* d = po + r * cols;
-        switch (eop) {
-          case EOp::kAdd: ew::add_s(cols, q, av, d); break;
-          case EOp::kSub: ew::rsub_s(cols, q, av, d); break;
-          case EOp::kMul: ew::mul_s(cols, q, av, d); break;
-          default: ew::rdiv_s(cols, q, av, d); break;
-        }
-      }
-      return;
-    case BPat::kBCol:
-      for (index_t r = 0; r < rows; ++r) {
-        const float bv = pb[r];
-        const float* q = pa + r * cols;
-        float* d = po + r * cols;
-        switch (eop) {
-          case EOp::kAdd: ew::add_s(cols, q, bv, d); break;
-          case EOp::kSub: ew::sub_s(cols, q, bv, d); break;
-          case EOp::kMul: ew::mul_s(cols, q, bv, d); break;
-          default: ew::div_s(cols, q, bv, d); break;
-        }
-      }
-      return;
-  }
-}
-
-template <class F>
-Tensor binary_kernel(const char* name, EOp eop, const Tensor& a,
-                     const Tensor& b, F f) {
+Tensor binary_kernel(const char* name, const Tensor& a, const Tensor& b,
+                     F f) {
   perf::count_kernel(name);
   Shape out_shape;
   const BPat pat = classify(a, b, out_shape);
@@ -258,7 +141,7 @@ Tensor binary_kernel(const char* name, EOp eop, const Tensor& a,
   const index_t rows = out_shape.size() == 2 ? out_shape[0] : 0;
   const index_t cols = out_shape.size() == 2 ? out_shape[1] : 0;
   const index_t n = out.numel();
-  binary_loop_d(eop, pat, rows, cols, n, a.data(), b.data(), out.data(), f);
+  binary_loop(pat, rows, cols, n, a.data(), b.data(), out.data(), f);
   return out;
 }
 
@@ -267,36 +150,12 @@ void unary_loop(index_t n, const float* px, float* po, F f) {
   for (index_t i = 0; i < n; ++i) po[i] = f(px[i]);
 }
 
-/// Dispatch-routing wrapper around unary_loop.  Pure arithmetic EOps go
-/// through ops::eltwise (bit-exact at every tier); the transcendentals
-/// (exp/log/sin/cos/acos/tanh/sigmoid/silu/pow) stay pinned to the scalar
-/// libm loop so their bytes never depend on the tier.
 template <class F>
-void unary_loop_d(EOp eop, float s0, float s1, index_t n,
-                  const float* px, float* po, F f) {
-  namespace ew = sops::eltwise;
-  switch (eop) {
-    case EOp::kNeg: ew::neg(n, px, po); return;
-    case EOp::kAbs: ew::abs(n, px, po); return;
-    case EOp::kSquare: ew::square(n, px, po); return;
-    case EOp::kRecip: ew::recip(n, px, po); return;
-    case EOp::kSqrt: ew::sqrt(n, px, po); return;
-    case EOp::kSign: ew::sign(n, px, po); return;
-    case EOp::kAddS: ew::add_s(n, px, s0, po); return;
-    case EOp::kMulS: ew::mul_s(n, px, s0, po); return;
-    case EOp::kClamp: ew::clamp(n, px, s0, s1, po); return;
-    case EOp::kClampMask: ew::clamp_mask(n, px, s0, s1, po); return;
-    default: unary_loop(n, px, po, f); return;
-  }
-}
-
-template <class F>
-Tensor unary_kernel(const char* name, EOp eop, const Tensor& x, F f,
-                    float s0 = 0.0f, float s1 = 0.0f) {
+Tensor unary_kernel(const char* name, const Tensor& x, F f) {
   perf::count_kernel(name);
   Tensor out = Tensor::empty(x.shape());
   const index_t n = x.numel();
-  unary_loop_d(eop, s0, s1, n, x.data(), out.data(), f);
+  unary_loop(n, x.data(), out.data(), f);
   return out;
 }
 
@@ -312,7 +171,7 @@ Var ones_like(const Var& x) { return constant(Tensor::ones(x.shape())); }
 // ---------------------------------------------------------------------------
 
 Var add(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("add", EOp::kAdd, a.value(), b.value(),
+  Tensor out = binary_kernel("add", a.value(), b.value(),
                              [](float x, float y) { return x + y; });
   Shape sa = a.shape(), sb = b.shape();
   const bool ra = a.requires_grad(), rb = b.requires_grad();
@@ -324,7 +183,7 @@ Var add(const Var& a, const Var& b) {
 }
 
 Var sub(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("sub", EOp::kSub, a.value(), b.value(),
+  Tensor out = binary_kernel("sub", a.value(), b.value(),
                              [](float x, float y) { return x - y; });
   Shape sa = a.shape(), sb = b.shape();
   const bool ra = a.requires_grad(), rb = b.requires_grad();
@@ -336,7 +195,7 @@ Var sub(const Var& a, const Var& b) {
 }
 
 Var mul(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("mul", EOp::kMul, a.value(), b.value(),
+  Tensor out = binary_kernel("mul", a.value(), b.value(),
                              [](float x, float y) { return x * y; });
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("mul", std::move(out), {a, b},
@@ -349,7 +208,7 @@ Var mul(const Var& a, const Var& b) {
 }
 
 Var div(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("div", EOp::kDiv, a.value(), b.value(),
+  Tensor out = binary_kernel("div", a.value(), b.value(),
                              [](float x, float y) { return x / y; });
   Shape sa = a.shape(), sb = b.shape();
   Var result = make_op_node(
@@ -370,17 +229,15 @@ Var div(const Var& a, const Var& b) {
 // ---------------------------------------------------------------------------
 
 Var add_scalar(const Var& x, float s) {
-  Tensor out =
-      unary_kernel("add_scalar", EOp::kAddS, x.value(),
-                   [s](float v) { return v + s; }, s);
+  Tensor out = unary_kernel("add_scalar", x.value(),
+                            [s](float v) { return v + s; });
   return make_op_node("add_scalar", std::move(out), {x},
                       [](const Var& g) -> std::vector<Var> { return {g}; });
 }
 
 Var mul_scalar(const Var& x, float s) {
-  Tensor out =
-      unary_kernel("mul_scalar", EOp::kMulS, x.value(),
-                   [s](float v) { return v * s; }, s);
+  Tensor out = unary_kernel("mul_scalar", x.value(),
+                            [s](float v) { return v * s; });
   return make_op_node("mul_scalar", std::move(out), {x},
                       [s](const Var& g) -> std::vector<Var> {
                         return {mul_scalar(g, s)};
@@ -388,8 +245,8 @@ Var mul_scalar(const Var& x, float s) {
 }
 
 Var pow_scalar(const Var& x, float p) {
-  Tensor out = unary_kernel("pow_scalar", EOp::kLoop, x.value(),
-                            [p](float v) { return std::pow(v, p); }, p);
+  Tensor out = unary_kernel("pow_scalar", x.value(),
+                            [p](float v) { return std::pow(v, p); });
   return make_op_node("pow_scalar", std::move(out), {x},
                       [x, p](const Var& g) -> std::vector<Var> {
                         return {mul(g, mul_scalar(pow_scalar(x, p - 1), p))};
@@ -401,7 +258,7 @@ Var pow_scalar(const Var& x, float p) {
 // ---------------------------------------------------------------------------
 
 Var neg(const Var& x) {
-  Tensor out = unary_kernel("neg", EOp::kNeg, x.value(),
+  Tensor out = unary_kernel("neg", x.value(),
                             [](float v) { return -v; });
   return make_op_node("neg", std::move(out), {x},
                       [](const Var& g) -> std::vector<Var> {
@@ -410,9 +267,8 @@ Var neg(const Var& x) {
 }
 
 Var exp_op(const Var& x) {
-  Tensor out =
-      unary_kernel("exp", EOp::kLoop, x.value(),
-                   [](float v) { return std::exp(v); });
+  Tensor out = unary_kernel("exp", x.value(),
+                            [](float v) { return std::exp(v); });
   Var y = make_op_node("exp", std::move(out), {x},
                        [x](const Var& g) -> std::vector<Var> {
                          return {mul(g, exp_op(x))};
@@ -421,9 +277,8 @@ Var exp_op(const Var& x) {
 }
 
 Var log_op(const Var& x) {
-  Tensor out =
-      unary_kernel("log", EOp::kLoop, x.value(),
-                   [](float v) { return std::log(v); });
+  Tensor out = unary_kernel("log", x.value(),
+                            [](float v) { return std::log(v); });
   return make_op_node("log", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {div(g, x)};
@@ -431,9 +286,8 @@ Var log_op(const Var& x) {
 }
 
 Var sqrt_op(const Var& x) {
-  Tensor out =
-      unary_kernel("sqrt", EOp::kSqrt, x.value(),
-                   [](float v) { return std::sqrt(v); });
+  Tensor out = unary_kernel("sqrt", x.value(),
+                            [](float v) { return std::sqrt(v); });
   return make_op_node("sqrt", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {mul_scalar(div(g, sqrt_op(x)), 0.5f)};
@@ -441,9 +295,8 @@ Var sqrt_op(const Var& x) {
 }
 
 Var sin_op(const Var& x) {
-  Tensor out =
-      unary_kernel("sin", EOp::kLoop, x.value(),
-                   [](float v) { return std::sin(v); });
+  Tensor out = unary_kernel("sin", x.value(),
+                            [](float v) { return std::sin(v); });
   return make_op_node("sin", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {mul(g, cos_op(x))};
@@ -451,9 +304,8 @@ Var sin_op(const Var& x) {
 }
 
 Var cos_op(const Var& x) {
-  Tensor out =
-      unary_kernel("cos", EOp::kLoop, x.value(),
-                   [](float v) { return std::cos(v); });
+  Tensor out = unary_kernel("cos", x.value(),
+                            [](float v) { return std::cos(v); });
   return make_op_node("cos", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {neg(mul(g, sin_op(x)))};
@@ -461,9 +313,8 @@ Var cos_op(const Var& x) {
 }
 
 Var acos_op(const Var& x) {
-  Tensor out =
-      unary_kernel("acos", EOp::kLoop, x.value(),
-                   [](float v) { return std::acos(v); });
+  Tensor out = unary_kernel("acos", x.value(),
+                            [](float v) { return std::acos(v); });
   return make_op_node(
       "acos", std::move(out), {x}, [x](const Var& g) -> std::vector<Var> {
         // d/dx acos(x) = -1 / sqrt(1 - x^2)
@@ -473,9 +324,8 @@ Var acos_op(const Var& x) {
 }
 
 Var tanh_op(const Var& x) {
-  Tensor out =
-      unary_kernel("tanh", EOp::kLoop, x.value(),
-                   [](float v) { return std::tanh(v); });
+  Tensor out = unary_kernel("tanh", x.value(),
+                            [](float v) { return std::tanh(v); });
   return make_op_node("tanh", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         Var y = tanh_op(x);
@@ -484,7 +334,7 @@ Var tanh_op(const Var& x) {
 }
 
 Var sigmoid(const Var& x) {
-  Tensor out = unary_kernel("sigmoid", EOp::kLoop, x.value(), [](float v) {
+  Tensor out = unary_kernel("sigmoid", x.value(), [](float v) {
     return 1.0f / (1.0f + std::exp(-v));
   });
   return make_op_node("sigmoid", std::move(out), {x},
@@ -495,7 +345,7 @@ Var sigmoid(const Var& x) {
 }
 
 Var silu(const Var& x) {
-  Tensor out = unary_kernel("silu", EOp::kLoop, x.value(), [](float v) {
+  Tensor out = unary_kernel("silu", x.value(), [](float v) {
     return v / (1.0f + std::exp(-v));
   });
   return make_op_node(
@@ -508,12 +358,11 @@ Var silu(const Var& x) {
 }
 
 Var abs_op(const Var& x) {
-  Tensor out =
-      unary_kernel("abs", EOp::kAbs, x.value(),
-                   [](float v) { return std::fabs(v); });
+  Tensor out = unary_kernel("abs", x.value(),
+                            [](float v) { return std::fabs(v); });
   // sign(x) treated as a constant: correct almost everywhere and keeps
   // grad-of-grad well defined.
-  Tensor sign = unary_kernel("sign", EOp::kSign, x.value(), [](float v) {
+  Tensor sign = unary_kernel("sign", x.value(), [](float v) {
     return v > 0.0f ? 1.0f : (v < 0.0f ? -1.0f : 0.0f);
   });
   Var sign_c = constant(std::move(sign));
@@ -524,7 +373,7 @@ Var abs_op(const Var& x) {
 }
 
 Var reciprocal(const Var& x) {
-  Tensor out = unary_kernel("reciprocal", EOp::kRecip, x.value(),
+  Tensor out = unary_kernel("reciprocal", x.value(),
                             [](float v) { return 1.0f / v; });
   return make_op_node("reciprocal", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
@@ -534,9 +383,8 @@ Var reciprocal(const Var& x) {
 }
 
 Var square(const Var& x) {
-  Tensor out =
-      unary_kernel("square", EOp::kSquare, x.value(),
-                   [](float v) { return v * v; });
+  Tensor out = unary_kernel("square", x.value(),
+                            [](float v) { return v * v; });
   return make_op_node("square", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {mul_scalar(mul(g, x), 2.0f)};
@@ -544,13 +392,12 @@ Var square(const Var& x) {
 }
 
 Var clamp(const Var& x, float lo, float hi) {
-  Tensor out = unary_kernel(
-      "clamp", EOp::kClamp, x.value(),
-      [lo, hi](float v) { return v < lo ? lo : (v > hi ? hi : v); }, lo, hi);
-  Tensor mask = unary_kernel(
-      "clamp_mask", EOp::kClampMask, x.value(),
-      [lo, hi](float v) { return (v >= lo && v <= hi) ? 1.0f : 0.0f; }, lo,
-      hi);
+  Tensor out = unary_kernel("clamp", x.value(), [lo, hi](float v) {
+    return v < lo ? lo : (v > hi ? hi : v);
+  });
+  Tensor mask = unary_kernel("clamp_mask", x.value(), [lo, hi](float v) {
+    return (v >= lo && v <= hi) ? 1.0f : 0.0f;
+  });
   Var mask_c = constant(std::move(mask));
   return make_op_node("clamp", std::move(out), {x},
                       [mask_c](const Var& g) -> std::vector<Var> {
@@ -646,9 +493,11 @@ Var transpose2d(const Var& x) {
 // ---------------------------------------------------------------------------
 
 namespace {
+/// Serial double accumulation in index order.
 void sum_all_loop(index_t n, const float* px, float* po) {
-  // Pinned scalar at every tier (serial double chain; see ops/reduce.hpp).
-  po[0] = static_cast<float>(sops::reduce::sum_all(n, px));
+  double acc = 0.0;
+  for (index_t i = 0; i < n; ++i) acc += px[i];
+  po[0] = static_cast<float>(acc);
 }
 }  // namespace
 
@@ -668,11 +517,17 @@ namespace {
 void sum_dim_loop(index_t dim, index_t rows, index_t cols, const float* px,
                   float* po) {
   if (dim == 0) {
-    // Column sums vectorize bit-exactly (per-column order preserved).
-    sops::reduce::sum_dim0(rows, cols, px, po);
+    // Column sums: one float chain per column, in row order.
+    std::memset(po, 0, static_cast<std::size_t>(cols) * sizeof(float));
+    for (index_t r = 0; r < rows; ++r)
+      for (index_t c = 0; c < cols; ++c) po[c] += px[r * cols + c];
   } else {
-    // Row sums are double-accumulated: pinned scalar at every tier.
-    sops::reduce::sum_dim1(rows, cols, px, po);
+    // Row sums: serial double accumulation per row.
+    for (index_t r = 0; r < rows; ++r) {
+      double acc = 0.0;
+      for (index_t c = 0; c < cols; ++c) acc += px[r * cols + c];
+      po[r] = static_cast<float>(acc);
+    }
   }
 }
 }  // namespace
@@ -798,7 +653,10 @@ void index_select_loop(const std::vector<index_t>& idx, index_t rows,
     FASTCHG_CHECK(src >= 0 && src < rows,
                   "index_select: index " << src << " out of " << rows);
   }
-  sops::gather_scatter::gather_rows(k, w, idx.data(), px, po);
+  for (index_t r = 0; r < k; ++r) {
+    std::memcpy(po + r * w, px + idx[static_cast<std::size_t>(r)] * w,
+                static_cast<std::size_t>(w) * sizeof(float));
+  }
 }
 
 void index_add_loop(const std::vector<index_t>& idx, index_t rows, index_t w,
@@ -809,9 +667,14 @@ void index_add_loop(const std::vector<index_t>& idx, index_t rows, index_t w,
     FASTCHG_CHECK(dst >= 0 && dst < rows,
                   "index_add: index " << dst << " out of " << rows);
   }
-  // Zeroes po, then accumulates source rows in order r = 0..k-1: identical
-  // per-column accumulation order at every tier (bit-exact class).
-  sops::gather_scatter::scatter_add_rows(k, rows, w, idx.data(), ps, po);
+  // Zero-fill, then accumulate source rows in order r = 0..k-1, so colliding
+  // destinations sum in source order.
+  std::memset(po, 0, static_cast<std::size_t>(rows * w) * sizeof(float));
+  for (index_t r = 0; r < k; ++r) {
+    float* orow = po + idx[static_cast<std::size_t>(r)] * w;
+    const float* srow = ps + r * w;
+    for (index_t c = 0; c < w; ++c) orow[c] += srow[c];
+  }
 }
 }  // namespace
 

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "ops/eltwise.hpp"
 #include "perf/counters.hpp"
 
 namespace fastchg {
@@ -181,12 +180,17 @@ void Tensor::add_(const Tensor& other, float alpha) {
   FASTCHG_CHECK(same_shape(shape_, other.shape_),
                 "add_: " << shape_str(shape_) << " vs "
                          << shape_str(other.shape_));
-  // ops::eltwise::axpy rounds the product before the add at every tier
-  // (bit-exact class), matching the seed's `a[i] += alpha * b[i]`.
-  ops::eltwise::axpy(numel_, alpha, other.data(), data());
+  // Rounds the product before the add (no FMA contraction on the baseline
+  // ISA), so optimizer and all-reduce updates are the same bytes everywhere.
+  float* o = data();
+  const float* b = other.data();
+  for (index_t i = 0; i < numel_; ++i) o[i] += alpha * b[i];
 }
 
-void Tensor::mul_(float s) { ops::eltwise::scale(numel_, s, data()); }
+void Tensor::mul_(float s) {
+  float* o = data();
+  for (index_t i = 0; i < numel_; ++i) o[i] *= s;
+}
 
 std::vector<float> Tensor::to_vector() const {
   return std::vector<float>(data(), data() + numel_);

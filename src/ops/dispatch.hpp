@@ -1,11 +1,14 @@
 // Runtime SIMD dispatch for the op library (docs/ops.md).
 //
-// Every op family under src/ops/ ships two implementations: a scalar
-// reference kernel (the seed arithmetic, loop for loop) and an AVX2+FMA
-// variant compiled in its own translation unit with -mavx2 -mfma.  Which
-// one runs is a process-wide *tier*, resolved once at startup from a cpuid
-// probe plus the FASTCHG_SIMD environment override, mirroring the
-// FASTCHG_ALLOC kill-switch idiom:
+// Each op family under src/ops/ -- gemm, basis, rownorm -- ships two
+// implementations: a scalar reference kernel (the seed arithmetic, loop for
+// loop) and an AVX2+FMA variant compiled in its own translation unit with
+// -mavx2 -mfma.  Only families whose AVX2 tier shows a measured win live
+// here; element-wise, gather/scatter and reduce loops have one
+// implementation beside their caller (autograd/ops.cpp) and never read the
+// tier.  Which implementation runs is a process-wide *tier*, resolved once
+// at startup from a cpuid probe plus the FASTCHG_SIMD environment override,
+// mirroring the FASTCHG_ALLOC kill-switch idiom:
 //
 //   FASTCHG_SIMD=auto    (default) AVX2 when the host supports AVX2+FMA
 //   FASTCHG_SIMD=scalar  force the scalar reference kernels everywhere
@@ -15,18 +18,11 @@
 // set_simd_tier() overrides the environment at runtime (tests sweep both
 // tiers differentially).
 //
-// Op classes (the bit-exactness contract, asserted by tests/test_ops.cpp):
-//   bit-exact         scalar and AVX2 produce bitwise identical floats:
-//                     all eltwise arithmetic (IEEE add/sub/mul/div/sqrt,
-//                     sign ops, clamps -- lane order does not matter for
-//                     pure per-element ops), gather rows, scatter-add rows
-//                     (row order preserved), column-wise sum_dim0 (per-
-//                     column accumulation order preserved).  The serve
-//                     path's pool 0.0-diff gates ride only on these.
-//   tolerance-gated   reassociating reductions (sum_all on wide lanes),
-//                     FMA GEMMs, and polynomial transcendentals (basis
-//                     sin/cos, rownorm exp) -- per-op bounds are pinned in
-//                     tests/test_ops.cpp.
+// Every tiered family is *tolerance-gated* (asserted by tests/test_ops.cpp):
+// each tier is deterministic, and the tiers differ by rounding -- FMA GEMMs,
+// polynomial transcendentals (basis sin/cos, rownorm exp) and reassociated
+// rownorm mean/var.  Per-op bounds are pinned in tests/test_ops.cpp.  The
+// 0.0-diff gates compare runs at one tier, so they hold at either tier.
 #pragma once
 
 namespace fastchg::ops {
@@ -53,7 +49,7 @@ bool avx2_supported();
 const char* tier_name(Tier t);
 
 namespace detail {
-/// Defined by eltwise_avx2.cpp: true when the _avx2 translation units were
+/// Defined by gemm_avx2.cpp: true when the _avx2 translation units were
 /// really compiled with AVX2+FMA (false on toolchains without -mavx2,
 /// where they contain forwarding stubs).
 bool avx2_kernels_compiled();

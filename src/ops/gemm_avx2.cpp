@@ -10,11 +10,19 @@
 // Leftover columns fall to 16-wide, 8-wide, then scalar tiles; a leftover
 // row runs the single-row path.  Accumulators start at zero so no memset
 // of o is needed.
+//
+// This TU also defines detail::avx2_kernels_compiled().  On toolchains that
+// cannot build AVX2 it degrades to forwarding stubs and reports false, which
+// pins ops::avx2_supported() (and therefore the default tier) to scalar.
 #include "ops/gemm.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
+
+namespace fastchg::ops::detail {
+bool avx2_kernels_compiled() { return true; }
+}  // namespace fastchg::ops::detail
 
 namespace fastchg::ops::gemm::avx2 {
 
@@ -198,6 +206,10 @@ void matmul_tn_rows(index_t i0, index_t i1, index_t r0, index_t r1,
 }  // namespace fastchg::ops::gemm::avx2
 
 #else  // toolchain cannot build AVX2: forward to the scalar reference
+
+namespace fastchg::ops::detail {
+bool avx2_kernels_compiled() { return false; }
+}  // namespace fastchg::ops::detail
 
 namespace fastchg::ops::gemm::avx2 {
 

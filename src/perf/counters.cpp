@@ -44,13 +44,11 @@ void Counters::reset() {
   pool_high_water = pool_slab_bytes;
 }
 
-void count_kernel(const char* name) { count_kernels(name, 1); }
-
-void count_kernels(const char* name, std::uint64_t n) {
+void count_kernel(const char* name) {
   std::lock_guard<std::mutex> lock(counters_mutex());
   Counters& c = counters();
-  c.kernel_launches += n;
-  if (c.per_op_enabled) c.per_op[name] += n;
+  ++c.kernel_launches;
+  if (c.per_op_enabled) ++c.per_op[name];
 }
 
 void track_alloc(std::uint64_t bytes) {

@@ -75,9 +75,6 @@ Counters& counters();
 /// Record one "kernel launch" for op `name`.
 void count_kernel(const char* name);
 
-/// Record `n` launches at once (e.g. a serial per-sample loop).
-void count_kernels(const char* name, std::uint64_t n);
-
 void track_alloc(std::uint64_t bytes);
 void track_free(std::uint64_t bytes);
 

@@ -114,9 +114,15 @@ TEST(OpsForward, ActivationValues) {
 }
 
 TEST(OpsForward, ClampValuesAndMask) {
-  Var x = leaf({-2, 0.5f, 2}, {3});
-  EXPECT_EQ(clamp(x, -1, 1).value().to_vector(),
+  // NaN fails both comparisons: the value passes it through, and the mask,
+  // and therefore the gradient, is 0 there.
+  Var x = leaf({-2, 0.5f, 2, std::nanf("")}, {4});
+  const std::vector<float> y = clamp(x, -1, 1).value().to_vector();
+  EXPECT_EQ(std::vector<float>(y.begin(), y.begin() + 3),
             (std::vector<float>{-1, 0.5f, 1}));
+  EXPECT_TRUE(std::isnan(y[3]));
+  EXPECT_EQ(grad(sum_all(clamp(x, -1, 1)), {x})[0].value().to_vector(),
+            (std::vector<float>{0, 1, 0, 0}));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,23 +1,17 @@
 // Differential suite for the SIMD op library (src/ops/, docs/ops.md).
 //
-// Every kernel family is compared scalar-vs-AVX2 over odd sizes (n = 1,
-// primes, 8k +/- 1 tails, and > kBlock lengths) with the exactness contract
-// from ops/dispatch.hpp pinned:
+// The three tiered families -- GEMM, the sRBF/Fourier basis and the fused
+// row normalizations -- are compared scalar-vs-AVX2 over odd extents
+// (singletons, primes and 8k +/- 1 vector tails).  All three
+// are tolerance-gated: GEMM contracts with FMA, basis sin/cos and rownorm
+// exp use polynomial transcendentals, and rownorm reassociates its
+// mean/var.  Their per-op bounds are pinned here.  Element-wise, gather,
+// scatter and reduce ops have a single implementation and are checked
+// against in-order reference loops in tests/test_ops_sweep.cpp.
 //
-//   * bit-exact (memcmp):   all eltwise kernels, gather_rows,
-//                           scatter_add_rows (including colliding indices),
-//                           column-wise sum_dim0;
-//   * tolerance-gated:      GEMM (FMA contraction), avx2::sum_all
-//                           (reassociated lanes), basis sin/cos and rownorm
-//                           (polynomial transcendentals + reassociated
-//                           mean/var);
-//   * pinned scalar:        the dispatching sum_all / sum_dim1 entry points
-//                           must run the scalar reference at EVERY tier.
-//
-// Aliased in/out (o == a) is exercised for the in-place-capable eltwise
-// kernels.  All inputs come from a seeded RNG; the seed is logged so a
-// failure reproduces exactly.  AVX2 comparisons skip (not pass) on hosts
-// or builds without AVX2+FMA.
+// All inputs come from a seeded RNG; the seed is logged so a failure
+// reproduces exactly.  AVX2 comparisons skip (not pass) on hosts or builds
+// without AVX2+FMA.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,10 +21,7 @@
 
 #include "ops/basis.hpp"
 #include "ops/dispatch.hpp"
-#include "ops/eltwise.hpp"
-#include "ops/gather_scatter.hpp"
 #include "ops/gemm.hpp"
-#include "ops/reduce.hpp"
 #include "ops/rownorm.hpp"
 
 namespace fastchg::ops {
@@ -39,10 +30,6 @@ namespace {
 using index_t = std::int64_t;
 
 constexpr unsigned kSeed = 20260808u;
-
-// Odd sizes: singleton, primes, vector-width boundaries (8k +/- 1), and
-// lengths past the fuse interpreter's 256-element chunk.
-const std::vector<index_t> kSizes = {1, 2, 3, 7, 8, 9, 13, 16, 17, 31, 64, 97, 255, 256, 257, 1000, 1003};
 
 std::vector<float> random_vec(std::mt19937& rng, index_t n, float lo = -4.0f,
                               float hi = 4.0f) {
@@ -73,237 +60,6 @@ class OpsDifferential : public ::testing::Test {
   void TearDown() override { reset_simd_tier(); }
   std::mt19937 rng_;
 };
-
-// ---------------------------------------------------------------------------
-// Eltwise: bit-exact class
-
-using BinFn = void (*)(eltwise::index_t, const float*, const float*, float*);
-using ScalFn = void (*)(eltwise::index_t, const float*, float, float*);
-using UnFn = void (*)(eltwise::index_t, const float*, float*);
-
-TEST_F(OpsDifferential, EltwiseBinaryBitExact) {
-  FASTCHG_REQUIRE_AVX2();
-  struct Row {
-    const char* name;
-    BinFn ref, vec;
-  };
-  const Row rows[] = {
-      {"add", eltwise::scalar::add, eltwise::avx2::add},
-      {"sub", eltwise::scalar::sub, eltwise::avx2::sub},
-      {"mul", eltwise::scalar::mul, eltwise::avx2::mul},
-      {"div", eltwise::scalar::div, eltwise::avx2::div},
-  };
-  for (index_t n : kSizes) {
-    auto a = random_vec(rng_, n);
-    auto b = random_vec(rng_, n, 0.25f, 4.0f);  // away from 0 for div
-    for (const Row& r : rows) {
-      std::vector<float> os(a.size()), ov(a.size());
-      r.ref(n, a.data(), b.data(), os.data());
-      r.vec(n, a.data(), b.data(), ov.data());
-      EXPECT_TRUE(bitwise_equal(os, ov))
-          << r.name << " diverges at n=" << n << " (seed " << kSeed << ")";
-    }
-  }
-}
-
-TEST_F(OpsDifferential, EltwiseScalarOperandBitExact) {
-  FASTCHG_REQUIRE_AVX2();
-  struct Row {
-    const char* name;
-    ScalFn ref, vec;
-  };
-  const Row rows[] = {
-      {"add_s", eltwise::scalar::add_s, eltwise::avx2::add_s},
-      {"sub_s", eltwise::scalar::sub_s, eltwise::avx2::sub_s},
-      {"rsub_s", eltwise::scalar::rsub_s, eltwise::avx2::rsub_s},
-      {"mul_s", eltwise::scalar::mul_s, eltwise::avx2::mul_s},
-      {"div_s", eltwise::scalar::div_s, eltwise::avx2::div_s},
-      {"rdiv_s", eltwise::scalar::rdiv_s, eltwise::avx2::rdiv_s},
-  };
-  for (index_t n : kSizes) {
-    auto a = random_vec(rng_, n, 0.25f, 4.0f);
-    const float s = 1.7f;
-    for (const Row& r : rows) {
-      std::vector<float> os(a.size()), ov(a.size());
-      r.ref(n, a.data(), s, os.data());
-      r.vec(n, a.data(), s, ov.data());
-      EXPECT_TRUE(bitwise_equal(os, ov))
-          << r.name << " diverges at n=" << n << " (seed " << kSeed << ")";
-    }
-  }
-}
-
-TEST_F(OpsDifferential, EltwiseUnaryBitExact) {
-  FASTCHG_REQUIRE_AVX2();
-  struct Row {
-    const char* name;
-    UnFn ref, vec;
-    bool positive_only;
-  };
-  const Row rows[] = {
-      {"neg", eltwise::scalar::neg, eltwise::avx2::neg, false},
-      {"abs", eltwise::scalar::abs, eltwise::avx2::abs, false},
-      {"square", eltwise::scalar::square, eltwise::avx2::square, false},
-      {"recip", eltwise::scalar::recip, eltwise::avx2::recip, false},
-      {"sqrt", eltwise::scalar::sqrt, eltwise::avx2::sqrt, true},
-      {"sign", eltwise::scalar::sign, eltwise::avx2::sign, false},
-  };
-  for (index_t n : kSizes) {
-    for (const Row& r : rows) {
-      auto a = r.positive_only ? random_vec(rng_, n, 0.0f, 16.0f)
-                               : random_vec(rng_, n);
-      if (!r.positive_only && n > 2) a[static_cast<std::size_t>(n / 2)] = 0.0f;
-      std::vector<float> os(a.size()), ov(a.size());
-      r.ref(n, a.data(), os.data());
-      r.vec(n, a.data(), ov.data());
-      EXPECT_TRUE(bitwise_equal(os, ov))
-          << r.name << " diverges at n=" << n << " (seed " << kSeed << ")";
-    }
-  }
-}
-
-TEST_F(OpsDifferential, EltwiseClampFamilyBitExactIncludingNaN) {
-  FASTCHG_REQUIRE_AVX2();
-  for (index_t n : kSizes) {
-    auto a = random_vec(rng_, n);
-    // The seed clamp passes NaN through (both comparisons false); the AVX2
-    // blend must preserve that.
-    if (n > 1) a[0] = std::nanf("");
-    std::vector<float> os(a.size()), ov(a.size());
-    eltwise::scalar::clamp(n, a.data(), -1.0f, 1.0f, os.data());
-    eltwise::avx2::clamp(n, a.data(), -1.0f, 1.0f, ov.data());
-    EXPECT_TRUE(bitwise_equal(os, ov)) << "clamp n=" << n;
-    eltwise::scalar::clamp_mask(n, a.data(), -1.0f, 1.0f, os.data());
-    eltwise::avx2::clamp_mask(n, a.data(), -1.0f, 1.0f, ov.data());
-    EXPECT_TRUE(bitwise_equal(os, ov)) << "clamp_mask n=" << n;
-  }
-}
-
-TEST_F(OpsDifferential, EltwiseAccumulatorsBitExact) {
-  FASTCHG_REQUIRE_AVX2();
-  for (index_t n : kSizes) {
-    auto a = random_vec(rng_, n);
-    auto o0 = random_vec(rng_, n);
-    auto os = o0, ov = o0;
-    eltwise::scalar::axpy(n, 0.37f, a.data(), os.data());
-    eltwise::avx2::axpy(n, 0.37f, a.data(), ov.data());
-    EXPECT_TRUE(bitwise_equal(os, ov)) << "axpy n=" << n;
-    os = o0;
-    ov = o0;
-    eltwise::scalar::scale(n, 1.3f, os.data());
-    eltwise::avx2::scale(n, 1.3f, ov.data());
-    EXPECT_TRUE(bitwise_equal(os, ov)) << "scale n=" << n;
-  }
-}
-
-TEST_F(OpsDifferential, EltwiseAliasedInOut) {
-  FASTCHG_REQUIRE_AVX2();
-  // o == a is legal for every eltwise kernel: both tiers load each block
-  // before storing it.  Result must equal the out-of-place run bitwise.
-  for (index_t n : kSizes) {
-    auto a = random_vec(rng_, n, 0.25f, 4.0f);
-    auto b = random_vec(rng_, n, 0.25f, 4.0f);
-    std::vector<float> expect(a.size());
-    eltwise::scalar::mul(n, a.data(), b.data(), expect.data());
-    auto inplace_s = a;
-    eltwise::scalar::mul(n, inplace_s.data(), b.data(), inplace_s.data());
-    EXPECT_TRUE(bitwise_equal(expect, inplace_s)) << "scalar alias n=" << n;
-    auto inplace_v = a;
-    eltwise::avx2::mul(n, inplace_v.data(), b.data(), inplace_v.data());
-    EXPECT_TRUE(bitwise_equal(expect, inplace_v)) << "avx2 alias n=" << n;
-    // Aliased self-square: o == a == b.
-    eltwise::scalar::square(n, a.data(), expect.data());
-    auto self_v = a;
-    eltwise::avx2::mul(n, self_v.data(), self_v.data(), self_v.data());
-    EXPECT_TRUE(bitwise_equal(expect, self_v)) << "self alias n=" << n;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Gather / scatter: bit-exact class
-
-TEST_F(OpsDifferential, GatherRowsBitExact) {
-  FASTCHG_REQUIRE_AVX2();
-  for (index_t w : {index_t{1}, index_t{3}, index_t{8}, index_t{17},
-                    index_t{64}}) {
-    const index_t rows = 29, k = 57;
-    auto x = random_vec(rng_, rows * w);
-    std::uniform_int_distribution<index_t> pick(0, rows - 1);
-    std::vector<index_t> idx(static_cast<std::size_t>(k));
-    for (auto& i : idx) i = pick(rng_);
-    std::vector<float> os(static_cast<std::size_t>(k * w)),
-        ov(static_cast<std::size_t>(k * w));
-    gather_scatter::scalar::gather_rows(k, w, idx.data(), x.data(), os.data());
-    gather_scatter::avx2::gather_rows(k, w, idx.data(), x.data(), ov.data());
-    EXPECT_TRUE(bitwise_equal(os, ov)) << "gather w=" << w;
-  }
-}
-
-TEST_F(OpsDifferential, ScatterAddRowsBitExactWithCollisions) {
-  FASTCHG_REQUIRE_AVX2();
-  for (index_t w : {index_t{1}, index_t{3}, index_t{8}, index_t{17},
-                    index_t{64}}) {
-    // rows << k forces many colliding destinations: the per-column
-    // accumulation order (source order r = 0..k-1) must be preserved by the
-    // vectorized kernel for the sums to stay bitwise equal.
-    const index_t rows = 5, k = 97;
-    auto s = random_vec(rng_, k * w);
-    std::uniform_int_distribution<index_t> pick(0, rows - 1);
-    std::vector<index_t> idx(static_cast<std::size_t>(k));
-    for (auto& i : idx) i = pick(rng_);
-    std::vector<float> os(static_cast<std::size_t>(rows * w), 42.0f),
-        ov(static_cast<std::size_t>(rows * w), -42.0f);  // both pre-dirtied
-    gather_scatter::scalar::scatter_add_rows(k, rows, w, idx.data(), s.data(),
-                                             os.data());
-    gather_scatter::avx2::scatter_add_rows(k, rows, w, idx.data(), s.data(),
-                                           ov.data());
-    EXPECT_TRUE(bitwise_equal(os, ov)) << "scatter w=" << w;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reduce: sum_dim0 bit-exact; sum_all/sum_dim1 pinned scalar
-
-TEST_F(OpsDifferential, SumDim0BitExact) {
-  FASTCHG_REQUIRE_AVX2();
-  for (index_t cols : kSizes) {
-    const index_t rows = 37;
-    auto x = random_vec(rng_, rows * cols);
-    std::vector<float> os(static_cast<std::size_t>(cols)),
-        ov(static_cast<std::size_t>(cols));
-    reduce::scalar::sum_dim0(rows, cols, x.data(), os.data());
-    reduce::avx2::sum_dim0(rows, cols, x.data(), ov.data());
-    EXPECT_TRUE(bitwise_equal(os, ov)) << "sum_dim0 cols=" << cols;
-  }
-}
-
-TEST_F(OpsDifferential, SumAllAndSumDim1PinnedScalarAtAvx2Tier) {
-  FASTCHG_REQUIRE_AVX2();
-  set_simd_tier(Tier::kAvx2);
-  ASSERT_EQ(active_tier(), Tier::kAvx2);
-  const index_t rows = 13, cols = 1003;
-  auto x = random_vec(rng_, rows * cols);
-  // The dispatching entry points must produce the scalar-reference bits
-  // even with the AVX2 tier active: serial double accumulation is pinned.
-  const double ref = reduce::scalar::sum_all(rows * cols, x.data());
-  EXPECT_EQ(ref, reduce::sum_all(rows * cols, x.data()));
-  std::vector<float> rs(static_cast<std::size_t>(rows)),
-      rd(static_cast<std::size_t>(rows));
-  reduce::scalar::sum_dim1(rows, cols, x.data(), rs.data());
-  reduce::sum_dim1(rows, cols, x.data(), rd.data());
-  EXPECT_TRUE(bitwise_equal(rs, rd));
-}
-
-TEST_F(OpsDifferential, SumAllAvx2VariantToleranceGated) {
-  FASTCHG_REQUIRE_AVX2();
-  for (index_t n : kSizes) {
-    auto x = random_vec(rng_, n);
-    const double ref = reduce::scalar::sum_all(n, x.data());
-    const double vec = reduce::avx2::sum_all(n, x.data());
-    EXPECT_NEAR(ref, vec, 1e-4 * (std::fabs(ref) + 1.0))
-        << "sum_all n=" << n << " (seed " << kSeed << ")";
-  }
-}
 
 // ---------------------------------------------------------------------------
 // GEMM: tolerance-gated (FMA keeps k-order but skips intermediate rounding)
@@ -603,23 +359,6 @@ TEST_F(OpsDifferential, TierOverrideClampsToHardware) {
     // Requesting AVX2 without hardware/build support resolves to scalar
     // instead of crashing on the first kernel.
     EXPECT_EQ(active_tier(), Tier::kScalar);
-  }
-}
-
-TEST_F(OpsDifferential, DispatchedEltwiseFollowsTier) {
-  const index_t n = 1003;
-  auto a = random_vec(rng_, n);
-  auto b = random_vec(rng_, n);
-  std::vector<float> ref(a.size());
-  eltwise::scalar::add(n, a.data(), b.data(), ref.data());
-  for (Tier t : {Tier::kScalar, Tier::kAvx2}) {
-    set_simd_tier(t);
-    std::vector<float> o(a.size());
-    eltwise::add(n, a.data(), b.data(), o.data());
-    // Eltwise is bit-exact, so the dispatched result matches the scalar
-    // reference at both tiers -- which is exactly why the serve/replay
-    // 0.0-diff gates stay green whichever tier is active.
-    EXPECT_TRUE(bitwise_equal(ref, o)) << "tier " << tier_name(t);
   }
 }
 

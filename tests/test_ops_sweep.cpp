@@ -1,17 +1,22 @@
 // Parameterized property sweeps over the op x broadcast-pattern matrix:
 // every elementwise binary op must be numerically correct (value + gradient
 // + double backward) under every supported broadcast pattern, and every
-// activation across input regimes.  One body, the full matrix.  Both sit in
-// docs/ops.md's bit-exact class, so each case also checks that the forward
+// activation across input regimes.  One body, the full matrix.  None of
+// these ops reads the SIMD tier, so each case also checks that the forward
 // value and first-order gradients are the same bytes at the scalar tier and
-// at the active SIMD tier.  A third sweep runs every autograd op (plus the
-// fused layernorm and gated activation) at several thread counts and with
-// pooling on and off, and requires the same bytes and launch count each time.
+// at the active tier.  A reference sweep runs every element-wise, gather,
+// scatter and reduce op at odd sizes against an independent in-order loop.
+// A last sweep runs every autograd op (plus the fused layernorm and gated
+// activation) at several thread counts and with pooling on and off, and
+// requires the same bytes and launch count each time.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <random>
+#include <string>
+#include <utility>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
@@ -41,7 +46,7 @@ std::vector<std::vector<float>> value_and_grads(
 }
 
 /// The value and gradient bytes of `f` are identical at the scalar tier and
-/// at the active tier.
+/// at the active tier: the op never reads the tier.
 void expect_tier_bit_exact(const std::function<Var()>& f,
                            const std::vector<Var>& leaves) {
   namespace dispatch = ::fastchg::ops;
@@ -206,6 +211,284 @@ INSTANTIATE_TEST_SUITE_P(
                                          Act::kTanh),
                        // saturated-negative, linear, saturated-positive
                        ::testing::Values(-3.0f, 0.0f, 3.0f)));
+
+// ---------------------------------------------------------------------------
+// odd sizes against an independent per-element reference
+// ---------------------------------------------------------------------------
+
+// Singleton, primes and vector-width boundaries (8k +/- 1) up to > 1000.
+const std::vector<index_t> kOddSizes = {1,  2,  3,  7,   8,   9,   13,
+                                        17, 31, 97, 255, 257, 1003};
+// Row widths of the gather/scatter cases.
+const std::vector<index_t> kRowWidths = {1, 3, 8, 17, 64};
+
+/// One comparison: the op's bytes and the reference's.
+struct Outcome {
+  std::string what;
+  std::vector<float> got, want;
+};
+
+/// One op under the reference oracle: `run` builds inputs from the rng,
+/// runs the op over its sizes and returns each result with its reference.
+struct RefCase {
+  const char* name;
+  std::function<std::vector<Outcome>(std::mt19937&)> run;
+};
+
+void PrintTo(const RefCase& c, std::ostream* os) { *os << c.name; }
+
+Tensor uniform_tensor(std::mt19937& rng, Shape shape, float lo, float hi) {
+  std::uniform_real_distribution<float> d(lo, hi);
+  Tensor t = Tensor::empty(std::move(shape));
+  for (index_t i = 0; i < t.numel(); ++i) t.data()[i] = d(rng);
+  return t;
+}
+
+Var uniform_leaf(std::mt19937& rng, Shape shape, float lo, float hi) {
+  return Var(uniform_tensor(rng, std::move(shape), lo, hi), true);
+}
+
+std::vector<index_t> uniform_indices(std::mt19937& rng, index_t count,
+                                     index_t rows) {
+  std::uniform_int_distribution<index_t> pick(0, rows - 1);
+  std::vector<index_t> idx(static_cast<std::size_t>(count));
+  for (auto& i : idx) i = pick(rng);
+  return idx;
+}
+
+std::string at_n(const char* what, index_t n) {
+  return std::string(what) + " n=" + std::to_string(n);
+}
+
+/// Unary op with its per-element formula.  Inputs include an exact zero
+/// (sign and the clamp mask branch on it).  For abs and clamp the gradient
+/// of sum(op(x)) is also checked: it is exactly their sign / mask constant.
+RefCase unary_ref(const char* name, std::function<Var(const Var&)> op,
+                  std::function<float(float)> ref, float lo, float hi,
+                  std::function<float(float)> dref = nullptr) {
+  return {name, [=](std::mt19937& rng) {
+            std::vector<Outcome> out;
+            for (index_t n : kOddSizes) {
+              Tensor t = uniform_tensor(rng, {n}, lo, hi);
+              if (lo < 0.0f && hi > 0.0f && n > 2) t.data()[n / 2] = 0.0f;
+              const std::vector<float> xs = t.to_vector();
+              Var x(std::move(t), true);
+              std::vector<float> want(xs.size()), dwant(xs.size());
+              for (std::size_t i = 0; i < xs.size(); ++i) {
+                want[i] = ref(xs[i]);
+                if (dref) dwant[i] = dref(xs[i]);
+              }
+              out.push_back(
+                  {at_n("value", n), op(x).value().to_vector(), want});
+              if (dref) {
+                Var g = grad(sum_all(op(x)), {x})[0];
+                out.push_back(
+                    {at_n("gradient", n), g.value().to_vector(), dwant});
+              }
+            }
+            return out;
+          }};
+}
+
+/// Binary op with its per-element formula, at every broadcast pattern of a
+/// [5, n] result: same shape, row [n] and column [5, 1] on either side, and
+/// a one-element operand on either side.
+RefCase binary_ref(const char* name, Var (*op)(const Var&, const Var&),
+                   float (*ref)(float, float), float lo, float hi) {
+  return {name, [=](std::mt19937& rng) {
+            constexpr index_t kR = 5;
+            std::vector<Outcome> out;
+            for (index_t n : kOddSizes) {
+              const Shape full = {kR, n};
+              const std::pair<const char*, Shape> small[] = {
+                  {"same", full},
+                  {"row", {n}},
+                  {"col", {kR, 1}},
+                  {"scalar", {1}}};
+              for (const auto& [pattern, shape] : small) {
+                for (bool lhs : {false, true}) {
+                  if (lhs && same_shape(shape, full)) continue;
+                  Var a = uniform_leaf(rng, lhs ? shape : full, lo, hi);
+                  Var b = uniform_leaf(rng, lhs ? full : shape, lo, hi);
+                  // Element (r, c) of a possibly broadcast operand.
+                  auto at = [&](const Var& v, index_t r, index_t c) {
+                    const Tensor& t = v.value();
+                    if (t.numel() == 1) return t.data()[0];
+                    if (same_shape(t.shape(), full))
+                      return t.data()[r * n + c];
+                    if (t.shape().back() == 1) return t.data()[r];
+                    return t.data()[c];
+                  };
+                  std::vector<float> want(static_cast<std::size_t>(kR * n));
+                  for (index_t r = 0; r < kR; ++r)
+                    for (index_t c = 0; c < n; ++c)
+                      want[r * n + c] = ref(at(a, r, c), at(b, r, c));
+                  const std::string what =
+                      std::string(pattern) + (lhs ? " lhs" : "");
+                  out.push_back({at_n(what.c_str(), n),
+                                 op(a, b).value().to_vector(), want});
+                }
+              }
+            }
+            return out;
+          }};
+}
+
+std::vector<RefCase> ref_cases() {
+  return {
+      binary_ref("add", add, [](float x, float y) { return x + y; }, -4, 4),
+      binary_ref("sub", sub, [](float x, float y) { return x - y; }, -4, 4),
+      binary_ref("mul", mul, [](float x, float y) { return x * y; }, -4, 4),
+      binary_ref("div", div, [](float x, float y) { return x / y; }, 0.25f, 4),
+      unary_ref("add_scalar", [](const Var& x) { return add_scalar(x, 1.7f); },
+                [](float v) { return v + 1.7f; }, -4, 4),
+      unary_ref("mul_scalar", [](const Var& x) { return mul_scalar(x, 1.7f); },
+                [](float v) { return v * 1.7f; }, -4, 4),
+      unary_ref("pow_scalar", [](const Var& x) { return pow_scalar(x, 1.5f); },
+                [](float v) { return std::pow(v, 1.5f); }, 0.25f, 4),
+      unary_ref("neg", neg, [](float v) { return -v; }, -4, 4),
+      unary_ref("abs", abs_op, [](float v) { return std::fabs(v); }, -4, 4,
+                [](float v) {
+                  return v > 0.0f ? 1.0f : (v < 0.0f ? -1.0f : 0.0f);
+                }),
+      unary_ref("square", square, [](float v) { return v * v; }, -4, 4),
+      unary_ref("reciprocal", reciprocal, [](float v) { return 1.0f / v; },
+                0.25f, 4),
+      unary_ref("sqrt", sqrt_op, [](float v) { return std::sqrt(v); }, 0, 16),
+      unary_ref("exp", exp_op, [](float v) { return std::exp(v); }, -4, 4),
+      unary_ref("log", log_op, [](float v) { return std::log(v); }, 0.25f, 4),
+      unary_ref("sin", sin_op, [](float v) { return std::sin(v); }, -4, 4),
+      unary_ref("cos", cos_op, [](float v) { return std::cos(v); }, -4, 4),
+      unary_ref("acos", acos_op, [](float v) { return std::acos(v); }, -0.9f,
+                0.9f),
+      unary_ref("tanh", tanh_op, [](float v) { return std::tanh(v); }, -4, 4),
+      unary_ref("sigmoid", sigmoid,
+                [](float v) { return 1.0f / (1.0f + std::exp(-v)); }, -4, 4),
+      unary_ref("silu", silu,
+                [](float v) { return v / (1.0f + std::exp(-v)); }, -4, 4),
+      unary_ref(
+          "clamp", [](const Var& x) { return clamp(x, -1.0f, 1.0f); },
+          [](float v) { return v < -1.0f ? -1.0f : (v > 1.0f ? 1.0f : v); },
+          -4, 4,
+          [](float v) { return (v >= -1.0f && v <= 1.0f) ? 1.0f : 0.0f; }),
+      {"index_select0",
+       [](std::mt19937& rng) {
+         std::vector<Outcome> out;
+         for (index_t w : kRowWidths) {
+           const index_t rows = 29, k = 57;
+           Var x = uniform_leaf(rng, {rows, w}, -4, 4);
+           const std::vector<index_t> idx = uniform_indices(rng, k, rows);
+           std::vector<float> want;
+           for (index_t src : idx)
+             for (index_t c = 0; c < w; ++c)
+               want.push_back(x.value().data()[src * w + c]);
+           out.push_back(
+               {at_n("w", w), index_select0(x, idx).value().to_vector(), want});
+         }
+         return out;
+       }},
+      {"index_add0",
+       [](std::mt19937& rng) {
+         std::vector<Outcome> out;
+         for (index_t w : kRowWidths) {
+           // rows << k: most destinations collide, and must sum in source
+           // order.
+           const index_t rows = 5, k = 97;
+           Var s = uniform_leaf(rng, {k, w}, -4, 4);
+           const std::vector<index_t> idx = uniform_indices(rng, k, rows);
+           std::vector<float> want(static_cast<std::size_t>(rows * w), 0.0f);
+           for (index_t r = 0; r < k; ++r)
+             for (index_t c = 0; c < w; ++c)
+               want[idx[r] * w + c] += s.value().data()[r * w + c];
+           out.push_back({at_n("w", w),
+                          index_add0(rows, idx, s).value().to_vector(), want});
+         }
+         return out;
+       }},
+      {"sum_all",
+       [](std::mt19937& rng) {
+         std::vector<Outcome> out;
+         for (index_t n : kOddSizes) {
+           Var x = uniform_leaf(rng, {13, n}, -4, 4);
+           double acc = 0.0;
+           for (index_t i = 0; i < x.numel(); ++i) acc += x.value().data()[i];
+           out.push_back({at_n("cols", n), sum_all(x).value().to_vector(),
+                          {static_cast<float>(acc)}});
+         }
+         return out;
+       }},
+      {"sum_dim",
+       [](std::mt19937& rng) {
+         std::vector<Outcome> out;
+         for (index_t n : kOddSizes) {
+           const index_t rows = 37;
+           Var x = uniform_leaf(rng, {rows, n}, -4, 4);
+           const float* px = x.value().data();
+           // dim 0: one float chain per column, in row order.
+           std::vector<float> cols(static_cast<std::size_t>(n), 0.0f);
+           for (index_t r = 0; r < rows; ++r)
+             for (index_t c = 0; c < n; ++c) cols[c] += px[r * n + c];
+           out.push_back({at_n("dim 0 cols", n),
+                          sum_dim(x, 0).value().to_vector(), cols});
+           // dim 1: a double chain per row.
+           std::vector<float> row_sums;
+           for (index_t r = 0; r < rows; ++r) {
+             double acc = 0.0;
+             for (index_t c = 0; c < n; ++c) acc += px[r * n + c];
+             row_sums.push_back(static_cast<float>(acc));
+           }
+           out.push_back({at_n("dim 1 cols", n),
+                          sum_dim(x, 1).value().to_vector(), row_sums});
+         }
+         return out;
+       }},
+      {"tensor_add_mul_inplace",
+       [](std::mt19937& rng) {
+         std::vector<Outcome> out;
+         for (index_t n : kOddSizes) {
+           Tensor o = uniform_tensor(rng, {n}, -4, 4);
+           const Tensor a = uniform_tensor(rng, {n}, -4, 4);
+           std::vector<float> want = o.to_vector();
+           for (index_t i = 0; i < n; ++i) want[i] += 0.37f * a.data()[i];
+           o.add_(a, 0.37f);
+           out.push_back({at_n("add_", n), o.to_vector(), want});
+           for (float& v : want) v *= 1.3f;
+           o.mul_(1.3f);
+           out.push_back({at_n("mul_", n), o.to_vector(), want});
+         }
+         return out;
+       }},
+  };
+}
+
+class ReferenceSweep : public ::testing::TestWithParam<RefCase> {};
+
+TEST_P(ReferenceSweep, OddSizesMatchInOrderLoopAtEveryTier) {
+  namespace dispatch = ::fastchg::ops;
+  const RefCase& c = GetParam();
+  const dispatch::Tier active = dispatch::active_tier();
+  struct TierRestore {
+    dispatch::Tier tier;
+    ~TierRestore() { dispatch::set_simd_tier(tier); }
+  } restore{active};
+  for (dispatch::Tier tier : {dispatch::Tier::kScalar, active}) {
+    dispatch::set_simd_tier(tier);
+    std::mt19937 rng(20260808u);
+    for (const Outcome& o : c.run(rng)) {
+      ASSERT_EQ(o.got.size(), o.want.size()) << o.what;
+      EXPECT_EQ(0, std::memcmp(o.got.data(), o.want.data(),
+                               o.want.size() * sizeof(float)))
+          << c.name << " " << o.what << " differs from the reference at the "
+          << dispatch::tier_name(tier) << " tier";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, ReferenceSweep, ::testing::ValuesIn(ref_cases()),
+    [](const ::testing::TestParamInfo<RefCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // thread-count and pooling oracle over every op

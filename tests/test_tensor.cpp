@@ -101,7 +101,9 @@ TEST(PerfCounters, KernelCounterAndPerOp) {
   perf::reset_kernels();
   perf::set_per_op(true);
   perf::count_kernel("foo");
-  perf::count_kernels("bar", 3);
+  perf::count_kernel("bar");
+  perf::count_kernel("bar");
+  perf::count_kernel("bar");
   EXPECT_EQ(perf::counters().kernel_launches, 4u);
   EXPECT_EQ(perf::counters().per_op.at("foo"), 1u);
   EXPECT_EQ(perf::counters().per_op.at("bar"), 3u);

@@ -14,9 +14,8 @@
 //     must be exactly 0 once the pool saturates;
 //   * serve.pool_{off,on}.mallocs_per_forward -- same per fused
 //     micro-batched forward on a warmed engine;
-//   * serve_int8.pool_{off,on}.mallocs_per_forward -- same through an
-//     EngineShard's own pool with the quantized replica serving (the
-//     sharded front-end's arena path);
+//   * serve_int8.pool_{off,on}.mallocs_per_forward -- same with the
+//     engine's quantized replica serving;
 //   * *.malloc_ratio -- pooled / unpooled (acceptance bar: <= 0.01);
 //   * bitexact.{train,dp,serve}.max_diff -- must be exactly 0.0: the
 //     allocator changes where bytes live, never their values;
@@ -36,7 +35,6 @@
 #include "parallel/data_parallel.hpp"
 #include "perf/timer.hpp"
 #include "serve/engine.hpp"
-#include "serve/shard.hpp"
 #include "train/trainer.hpp"
 
 namespace fastchg {
@@ -138,15 +136,20 @@ PhaseCounts measure_train_prefetch(const BenchOptions& opt,
 }
 
 /// Warmed engine ticks over a fixed request stream (fused micro-batches).
-PhaseCounts measure_serve(bool pooled, const BenchOptions& opt) {
+/// With `quantize` the int8 replica serves: its tensors must recycle
+/// exactly like fp32 ones, so steady state is ~0 system allocations too.
+/// The int8 audit draws its own request stream, so the two audits cover
+/// different crystals.
+PhaseCounts measure_serve(bool pooled, bool quantize, const BenchOptions& opt) {
   alloc::set_pooling_enabled(pooled);
-  data::Dataset ds = bench::bench_dataset(16, 505, opt);
+  data::Dataset ds = bench::bench_dataset(16, quantize ? 909 : 505, opt);
   model::CHGNet net(bench::bench_model_config(3, opt), 7);
   serve::EngineConfig cfg;
   cfg.graph = bench::bench_graph_config(opt);
   cfg.max_batch = 4;
   cfg.batch_workers = 1;  // deterministic single-worker counts
   cfg.queue_capacity = 64;
+  cfg.quantize = quantize;
   serve::InferenceEngine engine(net, cfg);
 
   const auto tick = [&] {
@@ -171,60 +174,6 @@ PhaseCounts measure_serve(bool pooled, const BenchOptions& opt) {
   const double secs = t.seconds();
   const perf::Counters c = perf::counters().snapshot();
   const std::uint64_t forwards = engine.stats().micro_batches - mb_before;
-
-  PhaseCounts pc;
-  pc.mallocs_per_unit = static_cast<double>(c.system_allocs) /
-                        static_cast<double>(forwards > 0 ? forwards : 1);
-  pc.pool_hits = static_cast<double>(c.pool_hits);
-  pc.pool_misses = static_cast<double>(c.pool_misses);
-  pc.slab_high_water = static_cast<double>(c.pool_high_water);
-  pc.seconds = secs;
-  return pc;
-}
-
-/// Int8 audit: warmed quantized-replica forwards through an EngineShard's
-/// own pool (the sharded front-end's ArenaScope path).  The quantized
-/// replica's tensors must recycle exactly like fp32 ones -- steady state
-/// is served from the shard's free lists, ~0 system allocations.
-PhaseCounts measure_serve_int8(bool pooled, const BenchOptions& opt) {
-  alloc::set_pooling_enabled(pooled);
-  data::Dataset ds = bench::bench_dataset(16, 909, opt);
-  model::CHGNet net(bench::bench_model_config(3, opt), 7);
-  serve::ShardConfig sc;
-  sc.engine.graph = bench::bench_graph_config(opt);
-  sc.engine.max_batch = 4;
-  sc.engine.batch_workers = 1;
-  sc.engine.queue_capacity = 64;
-  sc.engine.cache_capacity = 0;  // every request runs the int8 forward
-  sc.engine.quantize = true;
-  sc.pool_trim_slack = SIZE_MAX;  // audit recycling, not the trim policy
-  serve::EngineShard shard(0, net, sc);
-
-  const auto tick = [&] {
-    for (index_t i = 0; i < ds.size(); ++i) {
-      auto r = shard.submit(ds[i].crystal);
-      FASTCHG_CHECK(r.ok(), "bench_memory_arena: int8 submit rejected");
-    }
-    for (const auto& reply : shard.drain()) {
-      FASTCHG_CHECK(reply.ok(), "bench_memory_arena: int8 reply failed");
-    }
-    FASTCHG_CHECK(shard.tick() == false,
-                  "bench_memory_arena: unexpected shard restart");
-  };
-
-  // Warm-up: graphs, replica pool, quantized weights and the shard pool's
-  // free lists (see measure_serve).
-  for (int i = 0; i < 3; ++i) tick();
-
-  const std::uint64_t mb_before = shard.engine().stats().micro_batches;
-  bench::reset_counters();
-  perf::Timer t;
-  constexpr int kTicks = 4;
-  for (int i = 0; i < kTicks; ++i) tick();
-  const double secs = t.seconds();
-  const perf::Counters c = perf::counters().snapshot();
-  const std::uint64_t forwards =
-      shard.engine().stats().micro_batches - mb_before;
 
   PhaseCounts pc;
   pc.mallocs_per_unit = static_cast<double>(c.system_allocs) /
@@ -361,8 +310,8 @@ int main(int argc, char** argv) {
               train_pf.slab_high_water);
 
   // -- serving steady state --------------------------------------------
-  const PhaseCounts serve_off = measure_serve(false, opt);
-  const PhaseCounts serve_on = measure_serve(true, opt);
+  const PhaseCounts serve_off = measure_serve(false, false, opt);
+  const PhaseCounts serve_on = measure_serve(true, false, opt);
   const double serve_ratio =
       serve_off.mallocs_per_unit > 0.0
           ? serve_on.mallocs_per_unit / serve_off.mallocs_per_unit
@@ -377,15 +326,14 @@ int main(int argc, char** argv) {
               "misses %.0f\n",
               serve_ratio, serve_on.pool_hits, serve_on.pool_misses);
 
-  // -- int8 shard serving steady state ---------------------------------
-  const PhaseCounts i8_off = measure_serve_int8(false, opt);
-  const PhaseCounts i8_on = measure_serve_int8(true, opt);
+  // -- int8 serving steady state ---------------------------------------
+  const PhaseCounts i8_off = measure_serve(false, true, opt);
+  const PhaseCounts i8_on = measure_serve(true, true, opt);
   const double i8_ratio = i8_off.mallocs_per_unit > 0.0
                               ? i8_on.mallocs_per_unit / i8_off.mallocs_per_unit
                               : 0.0;
   bench::print_rule();
-  std::printf("int8 shard serve (per fused forward, warmed quantized "
-              "replica):\n");
+  std::printf("int8 serve (per fused forward, warmed quantized replica):\n");
   std::printf("  pool off : %10.1f system allocs/forward (%.3fs)\n",
               i8_off.mallocs_per_unit, i8_off.seconds);
   std::printf("  pool on  : %10.1f system allocs/forward (%.3fs)\n",

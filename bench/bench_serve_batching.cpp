@@ -1,15 +1,13 @@
 // Micro-batched serving perf fixture (perf-gate wired): a fixed seeded
-// stream of valid crystals served three ways --
+// stream of valid crystals served two ways --
 //
 //   single : max_batch=1, one forward per request (the baseline the paper's
 //            batching argument is made against)
 //   fused  : max_batch=8, disjoint-union forwards (Alg. 2 batched basis +
 //            packed GEMMs amortize per-forward dispatch)
-//   cached : fused + structure cache, stream replayed so every repeat is a
-//            full-result hit (no forward at all)
 //
-// Kernel-launch and cache-hit counts are deterministic (workers=1, fixed
-// seeds) and gate at the tight tolerance; wall-clock metrics use the
+// Kernel-launch counts are deterministic (workers=1, fixed seeds) and gate
+// at the tight tolerance; wall-clock metrics use the
 // ".seconds" suffix for the loose tolerance.  tools/perf_gate compares the
 // emitted BENCH_trace_serve_batching.json against
 // bench/baselines/BENCH_trace_serve_batching.json in CI.
@@ -29,7 +27,7 @@ int run(int argc, char** argv) {
   BenchOptions opt = parse_options(argc, argv);
   BenchRecorder rec("serve_batching", argc, argv);
   print_header("Serving micro-batch perf",
-               "fused forwards + structure cache vs single-request serving");
+               "fused forwards vs single-request serving");
 
   const int requests = opt.full ? 256 : 96;
   model::CHGNet net(bench_model_config(3, opt), 17);
@@ -51,38 +49,32 @@ int run(int argc, char** argv) {
   struct Mode {
     const char* name;
     index_t max_batch;
-    std::size_t cache_capacity;
-    int rounds;  ///< stream repetitions (cached mode replays the stream)
   };
   const Mode modes[] = {
-      {"single", 1, 0, 1},
-      {"fused", 8, 0, 1},
-      {"cached", 8, 256, 2},
+      {"single", 1},
+      {"fused", 8},
   };
 
-  std::printf("\n%-8s %10s %14s %12s %12s\n", "mode", "req/s", "kernels/req",
-              "peak MiB", "result hits");
+  std::printf("\n%-8s %10s %14s %12s\n", "mode", "req/s", "kernels/req",
+              "peak MiB");
   double single_kernels_per_req = 0.0, fused_kernels_per_req = 0.0;
   for (const Mode& m : modes) {
     EngineConfig cfg = base;
     cfg.max_batch = m.max_batch;
-    cfg.cache_capacity = m.cache_capacity;
     InferenceEngine eng(net, cfg);
 
     reset_counters();
     perf::Timer wall;
     std::size_t served = 0;
-    for (int round = 0; round < m.rounds; ++round) {
-      for (std::size_t i = 0; i < stream.size();) {
-        for (std::size_t j = 0; j < 8 && i < stream.size(); ++j, ++i) {
-          (void)eng.submit(stream[i]);
-        }
-        for (const auto& r : eng.drain()) served += r.ok() ? 1 : 0;
+    for (std::size_t i = 0; i < stream.size();) {
+      for (std::size_t j = 0; j < 8 && i < stream.size(); ++j, ++i) {
+        (void)eng.submit(stream[i]);
       }
+      for (const auto& r : eng.drain()) served += r.ok() ? 1 : 0;
     }
     const double secs = wall.seconds();
     const perf::Counters snap = perf::counters().snapshot();
-    const std::size_t total = stream.size() * static_cast<std::size_t>(m.rounds);
+    const std::size_t total = stream.size();
     FASTCHG_CHECK(served == total, m.name << " served " << served << "/"
                                           << total);
 
@@ -90,22 +82,14 @@ int run(int argc, char** argv) {
         static_cast<double>(snap.kernel_launches) / static_cast<double>(total);
     if (std::string(m.name) == "single") single_kernels_per_req = kernels_per_req;
     if (std::string(m.name) == "fused") fused_kernels_per_req = kernels_per_req;
-    std::printf("%-8s %10.1f %14.1f %12.2f %12llu\n", m.name,
-                total / secs, kernels_per_req,
-                static_cast<double>(snap.bytes_peak) / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(eng.cache().stats().result_hits));
+    std::printf("%-8s %10.1f %14.1f %12.2f\n", m.name, total / secs,
+                kernels_per_req,
+                static_cast<double>(snap.bytes_peak) / (1024.0 * 1024.0));
 
     const std::string p(m.name);
     rec.metric(p + ".per_request.seconds", secs / static_cast<double>(total));
     rec.metric(p + ".kernels_per_request", kernels_per_req);
     rec.metric(p + ".peak_bytes", static_cast<double>(snap.bytes_peak));
-    if (m.cache_capacity > 0) {
-      // Second pass over the stream must be pure result replay: misses only
-      // on the first pass.  Lower is better: forwards the cache failed to
-      // elide.
-      rec.metric("cached.forwards",
-                 static_cast<double>(eng.stats().micro_batches));
-    }
   }
 
   // Deterministic amortization ratio (kernel launches, not wall time): the

@@ -91,10 +91,6 @@ void* PoolAllocator::allocate(std::size_t bytes) {
       st_.live_bytes += sz;
       --st_.free_blocks;
       st_.free_bytes -= sz;
-      bucket_live_[bi] += sz;
-      if (bucket_live_[bi] > bucket_window_[bi]) {
-        bucket_window_[bi] = bucket_live_[bi];
-      }
       perf::track_pool_hit();
       assert(arena_aligned(p));
       return p;
@@ -110,10 +106,6 @@ void* PoolAllocator::allocate(std::size_t bytes) {
     st_.live_bytes += sz;
     st_.slab_bytes += sz;
     if (st_.slab_bytes > st_.high_water) st_.high_water = st_.slab_bytes;
-    bucket_live_[bi] += sz;
-    if (bucket_live_[bi] > bucket_window_[bi]) {
-      bucket_window_[bi] = bucket_live_[bi];
-    }
   }
   perf::track_pool_miss();
   perf::track_pool_slab(static_cast<std::int64_t>(sz));
@@ -140,7 +132,6 @@ void PoolAllocator::deallocate(void* p, std::size_t bytes) {
   st_.live_bytes -= sz;
   ++st_.free_blocks;
   st_.free_bytes += sz;
-  bucket_live_[bi] -= sz;
 }
 
 void PoolAllocator::trim() {
@@ -169,76 +160,6 @@ void PoolAllocator::trim() {
   }
 }
 
-std::uint64_t PoolAllocator::trim_to(std::size_t target_bytes) {
-  std::vector<std::pair<void*, std::size_t>> blocks;
-  std::uint64_t freed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Largest buckets first: one released slab makes the most progress
-    // toward the target, so small warm buckets survive the trim.
-    for (std::size_t i = free_.size(); i-- > 0 && st_.slab_bytes > target_bytes;) {
-      const std::size_t sz = std::size_t{1} << i;
-      auto& list = free_[i];
-      while (!list.empty() && st_.slab_bytes > target_bytes) {
-        blocks.emplace_back(list.back(), sz);
-        list.pop_back();
-        freed += sz;
-        --st_.free_blocks;
-        st_.free_bytes -= sz;
-        st_.slab_bytes -= sz;
-      }
-    }
-    st_.trimmed_bytes += freed;
-  }
-  for (auto& [p, sz] : blocks) upstream_->deallocate(p, sz);
-  if (freed > 0) {
-    perf::track_pool_slab(-static_cast<std::int64_t>(freed));
-    perf::track_pool_trim(freed);
-  }
-  return freed;
-}
-
-std::uint64_t PoolAllocator::trim_watermark(std::size_t slack_bytes) {
-  std::vector<std::pair<void*, std::size_t>> blocks;
-  std::uint64_t freed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t demand = 0;
-    for (std::uint64_t w : bucket_window_) demand += w;
-    const std::uint64_t target = demand + slack_bytes;
-    // Largest buckets first, but each bucket only gives up blocks above its
-    // *own* window peak: a bucket the steady-state workload touched keeps
-    // its working set, so the next identical step re-faults nothing.
-    for (std::size_t i = free_.size();
-         i-- > 0 && st_.slab_bytes > target;) {
-      const std::size_t sz = std::size_t{1} << i;
-      auto& list = free_[i];
-      std::uint64_t held = bucket_live_[i] + sz * list.size();
-      while (!list.empty() && st_.slab_bytes > target &&
-             held > bucket_window_[i]) {
-        blocks.emplace_back(list.back(), sz);
-        list.pop_back();
-        freed += sz;
-        held -= sz;
-        --st_.free_blocks;
-        st_.free_bytes -= sz;
-        st_.slab_bytes -= sz;
-      }
-    }
-    st_.trimmed_bytes += freed;
-    // Rebase the observation window to current live demand.
-    for (std::size_t i = 0; i < bucket_window_.size(); ++i) {
-      bucket_window_[i] = bucket_live_[i];
-    }
-  }
-  for (auto& [p, sz] : blocks) upstream_->deallocate(p, sz);
-  if (freed > 0) {
-    perf::track_pool_slab(-static_cast<std::int64_t>(freed));
-    perf::track_pool_trim(freed);
-  }
-  return freed;
-}
-
 void PoolAllocator::end_epoch() {
   std::lock_guard<std::mutex> lock(mu_);
   ++st_.epochs;
@@ -246,10 +167,7 @@ void PoolAllocator::end_epoch() {
 
 PoolStats PoolAllocator::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  PoolStats st = st_;
-  st.window_high_water = 0;
-  for (std::uint64_t w : bucket_window_) st.window_high_water += w;
-  return st;
+  return st_;
 }
 
 namespace {

@@ -95,15 +95,6 @@ struct PoolStats {
   std::uint64_t free_bytes = 0;
   std::uint64_t slab_bytes = 0;   ///< live + free: bytes held from upstream
   std::uint64_t high_water = 0;   ///< peak slab_bytes over the pool's life
-  /// Sum over buckets of the peak live bytes per bucket since the last
-  /// trim_watermark() call -- the "recent demand" the watermark-trim policy
-  /// keeps slabs for.  Tracked per bucket (not as one total) so a trim
-  /// never releases blocks a steady-state step re-faults: each bucket keeps
-  /// what *it* recently needed, and only buckets idle over the whole window
-  /// are returned upstream.  (Slab bytes would be useless here: slabs only
-  /// shrink at trims, so their window peak can never fall below the current
-  /// holding.)
-  std::uint64_t window_high_water = 0;
   std::uint64_t trimmed_bytes = 0;  ///< slab bytes returned upstream by trims
   std::uint64_t epochs = 0;       ///< ArenaScope exits observed
 };
@@ -132,20 +123,6 @@ class PoolAllocator final : public Allocator {
 
   /// Return all free-listed blocks upstream (live blocks are untouched).
   void trim();
-  /// Partial trim for long-lived servers: release free-listed blocks
-  /// (largest buckets first) until slab_bytes <= target_bytes or no free
-  /// blocks remain.  Returns the bytes released.
-  std::uint64_t trim_to(std::size_t target_bytes);
-  /// Watermark policy (docs/memory.md): trim free blocks down to the
-  /// per-bucket live high water observed since the previous trim_watermark
-  /// call, stopping once slab_bytes <= total demand + `slack_bytes`, then
-  /// rebase the observation window.  Releasing per bucket (largest first)
-  /// means a steady-state workload whose shapes repeat never re-faults
-  /// after a trim -- only buckets idle across the window go upstream.  A
-  /// shard calling this between ticks keeps slabs sized to recent demand
-  /// instead of the lifetime peak.  Returns the bytes released (also
-  /// counted into perf pool_trimmed_bytes).
-  std::uint64_t trim_watermark(std::size_t slack_bytes);
   /// Mark the end of a step-scoped epoch (ArenaScope calls this on exit).
   void end_epoch();
   PoolStats stats() const;
@@ -157,10 +134,6 @@ class PoolAllocator final : public Allocator {
   AllocatorPtr upstream_;
   mutable std::mutex mu_;
   std::array<std::vector<void*>, 64> free_;  ///< indexed by log2(bucket)
-  /// Per-bucket live bytes and their window peak (demand watermark inputs;
-  /// pass-through blocks above kMaxPooled are excluded).
-  std::array<std::uint64_t, 64> bucket_live_{};
-  std::array<std::uint64_t, 64> bucket_window_{};
   PoolStats st_;
 };
 

@@ -38,9 +38,8 @@ struct Counters {
   std::uint64_t system_allocs = 0;
   std::uint64_t pool_slab_bytes = 0;
   std::uint64_t pool_high_water = 0;
-  /// Slab bytes returned upstream by PoolAllocator::trim()/trim_watermark()
-  /// -- the long-lived-server watermark policy (docs/memory.md) aggregated
-  /// across every pool in the process.
+  /// Slab bytes returned upstream by PoolAllocator::trim(), aggregated
+  /// across every pool in the process (docs/memory.md).
   std::uint64_t pool_trimmed_bytes = 0;
   // Always 0: every step runs eager, so nothing is replayed or fused away.
   // The fields stay because bench/e2e reads them for its `replay.hit_rate`
@@ -101,11 +100,13 @@ void reset_peak();
 void set_per_op(bool enabled);
 
 /// What the trainer, DP trainer and serve engine return from
-/// `replay_cache()`.  Its only reader is bench/e2e, which reports
-/// `replay_cache().stats().hits`; every step runs eager, so that is 0.
+/// `replay_cache()`, and the serve engine from `cache()`.  Its only reader
+/// is bench/e2e, which reports `replay.hits` and `serve.cache_hit_rate`;
+/// every step runs eager and nothing is cached, so both read 0.
 struct ReplayCacheStub {
   struct Stats {
     std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
   };
   Stats stats() const { return {}; }
 };

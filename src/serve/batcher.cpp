@@ -6,11 +6,20 @@
 #include "autograd/ops.hpp"
 #include "core/alloc.hpp"
 #include "core/parallel_for.hpp"
+#include "data/graph.hpp"
 #include "perf/counters.hpp"
 #include "perf/trace.hpp"
 #include "serve/watchdog.hpp"
 
 namespace fastchg::serve {
+
+std::shared_ptr<const data::Sample> build_sample(
+    const data::Crystal& c, const data::GraphConfig& graph) {
+  auto s = std::make_shared<data::Sample>();
+  s->crystal = c;
+  s->graph = data::build_graph(c, graph);
+  return s;
+}
 
 Prediction unpack_structure(const model::ModelOutput& out,
                             const data::Batch& b, index_t s) {
@@ -137,14 +146,10 @@ std::vector<Result<Prediction>> MicroBatcher::run(
 
   const auto serve_mb = [&](std::size_t m) {
     // Per-worker, per-micro-batch arena: each fused forward (and any
-    // bisection retries) draws from the configured arena (the shard pool
-    // when sharded) or the executing worker's thread pool, so workers
-    // recycle independently and consecutive ticks re-serve the previous
-    // tick's blocks.
-    alloc::ArenaScope arena(
-        cfg_.arena ? cfg_.arena
-                   : (alloc::pooling_enabled() ? alloc::thread_pool()
-                                               : alloc::AllocatorPtr{}));
+    // bisection retries) draws from the executing worker's thread pool, so
+    // workers recycle independently and consecutive ticks re-serve the
+    // previous tick's blocks.
+    alloc::ArenaScope arena;
     const std::size_t lo = m * max_batch;
     const std::size_t hi = std::min(n, lo + max_batch);
     ++per_mb[m].micro_batches;

@@ -27,11 +27,16 @@
 #include <vector>
 
 #include "chgnet/model.hpp"
-#include "core/alloc.hpp"
+#include "data/dataset.hpp"
 #include "serve/error.hpp"
 #include "serve/prediction.hpp"
 
 namespace fastchg::serve {
+
+/// Build a Sample (wrapped crystal + graph) for one request: the input a
+/// BatchItem carries into the fused forward.
+std::shared_ptr<const data::Sample> build_sample(
+    const data::Crystal& c, const data::GraphConfig& graph);
 
 /// One admitted, validated request ready for fused execution.
 struct BatchItem {
@@ -59,10 +64,6 @@ class MicroBatcher {
   struct Config {
     index_t max_batch = 8;  ///< structures fused per forward (>= 1)
     int workers = 1;        ///< max concurrently executing micro-batches
-    /// Arena the fused forwards draw from (nullptr = each worker's own
-    /// thread pool).  Sharded serving points this at the shard's pool so
-    /// every allocation of the shard's traffic recycles shard-locally.
-    alloc::AllocatorPtr arena;
     /// Fault-injection seam (tests/benches): mutate the collated batch
     /// before its forward.  Receives the request_ids of the structures in
     /// the (sub-)batch, in structure order, so a poison can follow one

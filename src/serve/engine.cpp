@@ -13,20 +13,17 @@ namespace fastchg::serve {
 InferenceEngine::InferenceEngine(const model::CHGNet& net, EngineConfig cfg)
     : net_(net),
       cfg_(cfg),
-      cache_(cfg.cache_capacity, cfg.graph, cfg.cache_results),
       batcher_([&] {
         MicroBatcher::Config bc;
         bc.max_batch = cfg.max_batch < 1 ? index_t{1} : cfg.max_batch;
         bc.workers = cfg.batch_workers;
-        bc.arena = cfg.arena;
         bc.corrupt_batch = cfg.corrupt_batch;
         return bc;
       }()) {
   if (cfg_.quantize) {
     // Replica parameters (clones + round-tripped tensors) draw from the
-    // engine's arena so a shard restart re-quantizes out of warm shard
-    // slabs instead of the system allocator.
-    alloc::ArenaScope arena(arena_alloc());
+    // constructing thread's pool.
+    alloc::ArenaScope arena;
     replica_ = std::make_unique<model::CHGNet>(net.config(), /*seed=*/0);
     replica_->copy_parameters_from(net);
     if (net.has_atom_ref()) {
@@ -34,12 +31,6 @@ InferenceEngine::InferenceEngine(const model::CHGNet& net, EngineConfig cfg)
     }
     quant_report_ = model::quantize_for_inference(*replica_);
   }
-}
-
-alloc::AllocatorPtr InferenceEngine::arena_alloc() const {
-  if (cfg_.arena) return cfg_.arena;
-  return alloc::pooling_enabled() ? alloc::thread_pool()
-                                  : alloc::AllocatorPtr{};
 }
 
 void InferenceEngine::set_fault_plan(const parallel::FaultPlan* plan) {
@@ -50,10 +41,10 @@ Result<Prediction> InferenceEngine::forward_checked(
     const model::CHGNet& m, const data::Crystal& c) const {
   perf::TraceSpan span_fwd("serve.forward", "serve");
   // Request-scoped arena: graph build, collate and eval-mode forward all
-  // recycle through the engine's arena (the shard pool when sharded, else
-  // the serving thread's pool); a steady stream of same-shape requests
-  // stops touching the system allocator after the first one (docs/memory.md).
-  alloc::ArenaScope arena(arena_alloc());
+  // recycle through the serving thread's pool; a steady stream of
+  // same-shape requests stops touching the system allocator after the
+  // first one (docs/memory.md).
+  alloc::ArenaScope arena;
   model::ModelOutput out;
   data::Batch b;
   try {
@@ -201,44 +192,7 @@ Result<std::size_t> InferenceEngine::submit(data::Crystal c,
   return queue_.size() - 1;
 }
 
-std::vector<QueuedRequest> InferenceEngine::take_queue() {
-  std::vector<QueuedRequest> out;
-  out.reserve(queue_.size());
-  while (!queue_.empty()) {
-    Queued q = std::move(queue_.front());
-    queue_.pop_front();
-    out.push_back(QueuedRequest{std::move(q.crystal), q.deadline_ms});
-  }
-  return out;
-}
-
 std::vector<Result<Prediction>> InferenceEngine::drain() {
-  if (cfg_.max_batch > 1 || cfg_.cache_capacity > 0) return drain_batched();
-  return drain_serial();
-}
-
-std::vector<Result<Prediction>> InferenceEngine::drain_serial() {
-  std::vector<Result<Prediction>> out;
-  out.reserve(queue_.size());
-  while (!queue_.empty()) {
-    Queued q = std::move(queue_.front());
-    queue_.pop_front();
-    const double waited_ms = q.enqueued.millis();
-    if (waited_ms > q.deadline_ms) {
-      ++stats_.timeouts;
-      std::ostringstream os;
-      os << "deadline " << q.deadline_ms << " ms expired in queue ("
-         << waited_ms << " ms waited)";
-      out.push_back(
-          Result<Prediction>::failure(ErrorCode::kTimeout, os.str()));
-      continue;
-    }
-    out.push_back(serve_one(q.crystal, q.deadline_ms, waited_ms));
-  }
-  return out;
-}
-
-std::vector<Result<Prediction>> InferenceEngine::drain_batched() {
   std::vector<Result<Prediction>> replies;
   replies.reserve(queue_.size());
   const std::size_t tick_cap =
@@ -248,14 +202,13 @@ std::vector<Result<Prediction>> InferenceEngine::drain_batched() {
     perf::TraceSpan span_tick("serve.batch.tick", "serve");
     const std::size_t tick_n = std::min(queue_.size(), tick_cap);
 
-    // A request that survives admission and misses the result cache.
+    // A request that survives admission.
     struct PendingReq {
       std::size_t slot;      ///< FIFO position within the tick
       data::Crystal crystal; ///< kept for the fp32 fallback re-forward
       double deadline_ms;
       double pre_ms;  ///< queue wait + simulated latency before the forward
       int retries;
-      std::string key;  ///< cache fingerprint for store_result
     };
     std::vector<std::unique_ptr<Result<Prediction>>> out(tick_n);
     std::vector<PendingReq> pend;
@@ -263,7 +216,7 @@ std::vector<Result<Prediction>> InferenceEngine::drain_batched() {
     pend.reserve(tick_n);
     items.reserve(tick_n);
 
-    // Phase A (sequential): admission, validation, injected faults, cache.
+    // Phase A (sequential): admission, validation, injected faults.
     for (std::size_t t = 0; t < tick_n; ++t) {
       Queued q = std::move(queue_.front());
       queue_.pop_front();
@@ -283,22 +236,9 @@ std::vector<Result<Prediction>> InferenceEngine::drain_batched() {
                  &out[t])) {
         continue;
       }
-      StructureCache::Lookup lk = cache_.lookup(q.crystal);
-      if (lk.result) {
-        // Exact repeat: replay the previous reply without a forward.
-        Prediction p = *lk.result;
-        p.cached = true;
-        p.retries = retries;
-        p.latency_ms = waited_ms + sim_ms;
-        ++stats_.served;
-        ++stats_.cached;
-        out[t] = std::make_unique<Result<Prediction>>(std::move(p));
-        continue;
-      }
-      items.push_back(BatchItem{std::move(lk.sample), t});
+      items.push_back(BatchItem{build_sample(q.crystal, cfg_.graph), t});
       pend.push_back(PendingReq{t, std::move(q.crystal), q.deadline_ms,
-                                waited_ms + sim_ms, retries,
-                                std::move(lk.key)});
+                                waited_ms + sim_ms, retries});
     }
 
     // Phase B: one fused forward per tick (split across replica workers
@@ -314,7 +254,7 @@ std::vector<Result<Prediction>> InferenceEngine::drain_batched() {
       // The tick's forward wall time counts against every request in it.
       const double fwd_ms = fwd_timer.millis();
 
-      // Phase C (sequential): degradation, deadlines, stats, cache store.
+      // Phase C (sequential): degradation, deadlines, stats.
       for (std::size_t i = 0; i < pend.size(); ++i) {
         PendingReq& pr = pend[i];
         Result<Prediction> r = std::move(rs[i]);
@@ -354,7 +294,6 @@ std::vector<Result<Prediction>> InferenceEngine::drain_batched() {
         p.degraded = degraded;
         p.retries = pr.retries;
         p.latency_ms = elapsed;
-        cache_.store_result(pr.key, p);
         ++stats_.served;
         out[pr.slot] = std::make_unique<Result<Prediction>>(std::move(p));
       }

@@ -2,22 +2,20 @@
 //
 // Every request flows through the same pipeline (docs/serving.md):
 //
-//   admission -> validation -> [injected-fault retry loop] -> cache lookup
+//   admission -> validation -> [injected-fault retry loop] -> graph build
 //            -> fused micro-batch forward -> numeric watchdog / bisection
 //            -> (quantized -> fp32 degradation) -> reply
 //
-// and every exit is a typed Result: success (possibly flagged degraded or
-// cached), or kInvalidInput / kNumericFault / kTimeout / kOverloaded /
-// kDegraded.  No request -- however malformed -- may crash the process or
-// return a silent NaN.
+// and every exit is a typed Result: success (possibly flagged degraded), or
+// kInvalidInput / kNumericFault / kTimeout / kOverloaded / kDegraded.  No
+// request -- however malformed -- may crash the process or return a silent
+// NaN.
 //
 // The queued path (`submit` + `drain`) is dynamically micro-batched: each
 // tick drains up to `max_batch` admitted requests into one disjoint-union
 // data::Batch and runs a single fused forward (serve/batcher.hpp), with
 // independent micro-batches fanned out across `batch_workers` replica
-// workers and a structure-fingerprint LRU cache (serve/struct_cache.hpp)
-// short-circuiting graph construction -- and, for exact repeats, the whole
-// forward.  A numeric fault inside a fused batch is bisected so only the
+// workers.  A numeric fault inside a fused batch is bisected so only the
 // poisoned request fails.  `predict` stays the synchronous single-request
 // path (also the reference the equivalence tests compare against).
 //
@@ -33,14 +31,12 @@
 #include <memory>
 
 #include "chgnet/model.hpp"
-#include "core/alloc.hpp"
 #include "fastchgnet/quantize.hpp"
 #include "parallel/fault.hpp"
 #include "perf/counters.hpp"
 #include "perf/timer.hpp"
 #include "serve/batcher.hpp"
 #include "serve/prediction.hpp"
-#include "serve/struct_cache.hpp"
 #include "serve/validate.hpp"
 #include "serve/watchdog.hpp"
 
@@ -65,23 +61,12 @@ struct EngineConfig {
   index_t max_batch = 8;   ///< structures fused per forward tick (>= 1)
   int batch_workers = 1;   ///< max concurrently executing micro-batches
 
-  // Structure-fingerprint LRU cache (queued path; 0 disables).
-  std::size_t cache_capacity = 0;
-  bool cache_results = true;  ///< replay full replies for exact repeats
-
   // Retry policy for injected transient device faults.
   int max_retries = 3;
   double backoff_base_ms = 0.5;  ///< attempt k sleeps base * 2^k (simulated)
   /// Simulated per-forward device latency the straggler factor scales; the
   /// measured wall time is added on top when checking deadlines.
   double base_latency_ms = 0.0;
-
-  /// Allocator the engine's arenas install (nullptr = the executing
-  /// thread's default pool).  A sharded deployment points every engine at
-  /// its shard's private PoolAllocator so replica construction, graph
-  /// builds, cache entries and fused forwards all recycle through shard-
-  /// local slabs (serve/shard.hpp).
-  alloc::AllocatorPtr arena;
 
   /// Fault-injection seam forwarded to the micro-batcher (tests/benches):
   /// mutate a collated batch before its fused forward, addressed by the
@@ -90,21 +75,12 @@ struct EngineConfig {
       corrupt_batch;
 };
 
-/// A request sitting in the admission queue, as surrendered by take_queue()
-/// for shard failover: the crystal plus its remaining deadline budget.  The
-/// queue-wait clock restarts on re-submission (failover re-arms the wait).
-struct QueuedRequest {
-  data::Crystal crystal;
-  double deadline_ms = 0.0;
-};
-
 /// Monotonic per-engine tallies (perf::counters mirrors the fallbacks
 /// globally; these stay attributable when several engines coexist).
 struct EngineStats {
   std::uint64_t submitted = 0;
   std::uint64_t served = 0;            ///< successful replies
   std::uint64_t degraded = 0;          ///< served via fp32 fallback
-  std::uint64_t cached = 0;            ///< replayed from the result cache
   std::uint64_t rejected_invalid = 0;  ///< kInvalidInput
   std::uint64_t numeric_faults = 0;    ///< kNumericFault replies
   std::uint64_t timeouts = 0;          ///< kTimeout replies
@@ -113,24 +89,10 @@ struct EngineStats {
   std::uint64_t micro_batches = 0;     ///< fused forwards dispatched
   std::uint64_t bisections = 0;        ///< poisoned-batch splits
   std::uint64_t isolated_faults = 0;   ///< faults isolated to one request
-
-  /// Fold another engine's tallies in (fleet-wide aggregation across shards
-  /// and retired engine incarnations after shard restarts).
-  void merge(const EngineStats& o) {
-    submitted += o.submitted;
-    served += o.served;
-    degraded += o.degraded;
-    cached += o.cached;
-    rejected_invalid += o.rejected_invalid;
-    numeric_faults += o.numeric_faults;
-    timeouts += o.timeouts;
-    overloaded += o.overloaded;
-    retries += o.retries;
-    micro_batches += o.micro_batches;
-    bisections += o.bisections;
-    isolated_faults += o.isolated_faults;
-  }
 };
+
+/// What cache() reports: always zero, since the engine keeps no cache.
+using CacheStats = perf::ReplayCacheStub::Stats;
 
 class InferenceEngine {
  public:
@@ -139,8 +101,7 @@ class InferenceEngine {
   InferenceEngine(const model::CHGNet& net, EngineConfig cfg = {});
 
   /// Validate and serve one structure synchronously.  `deadline_ms` < 0
-  /// uses the config default.  Single-request reference path: no batching,
-  /// no cache.
+  /// uses the config default.  Single-request reference path: no batching.
   Result<Prediction> predict(const data::Crystal& c, double deadline_ms = -1);
 
   // -- Admission-controlled queue interface ----------------------------
@@ -148,16 +109,12 @@ class InferenceEngine {
   /// On success returns the request's queue ticket.
   Result<std::size_t> submit(data::Crystal c, double deadline_ms = -1);
   /// Serve all queued requests FIFO through the micro-batched pipeline
-  /// (fused forwards of up to max_batch, replica workers, structure cache).
-  /// A request whose deadline expired while it sat in the queue is answered
-  /// kTimeout without touching the model.  With max_batch <= 1 and the
-  /// cache off this degenerates to the serial per-request pipeline.
+  /// (fused forwards of up to max_batch, replica workers).  A request whose
+  /// deadline expired while it sat in the queue is answered kTimeout
+  /// without touching the model.  With max_batch <= 1 each tick serves one
+  /// request.
   std::vector<Result<Prediction>> drain();
   std::size_t queue_depth() const { return queue_.size(); }
-  /// Surrender the admission queue (FIFO order) without serving it: the
-  /// shard-failover path hands a tripped engine's backlog to its siblings.
-  /// Counts nothing -- the receiving engine accounts the re-submission.
-  std::vector<QueuedRequest> take_queue();
 
   /// Inject transient device faults from a seeded plan (nullptr = none).
   /// The plan must outlive the engine or the next set_fault_plan call.
@@ -165,12 +122,8 @@ class InferenceEngine {
 
   const EngineStats& stats() const { return stats_; }
   const EngineConfig& config() const { return cfg_; }
-  /// Structure-fingerprint cache behind the queued path (hit/miss/eviction
-  /// tallies; capacity 0 when disabled).
-  const StructureCache& cache() const { return cache_; }
-  /// Mutable access for the shard-restart reconciliation path
-  /// (StructureCache::snapshot_and_reset).
-  StructureCache& cache() { return cache_; }
+  /// Always-empty cache statistics (see perf::ReplayCacheStub).
+  perf::ReplayCacheStub cache() const { return {}; }
   /// Quantization report of the int8 replica (zeros when quantize = false).
   const model::QuantizationReport& quantization_report() const {
     return quant_report_;
@@ -185,15 +138,11 @@ class InferenceEngine {
   /// One forward through `m` plus the numeric watchdog.
   Result<Prediction> forward_checked(const model::CHGNet& m,
                                      const data::Crystal& c) const;
-  /// The allocator engine arenas install: cfg_.arena, else the thread pool.
-  alloc::AllocatorPtr arena_alloc() const;
   Result<Prediction> serve_one(const data::Crystal& c, double deadline_ms,
                                double queued_ms);
-  std::vector<Result<Prediction>> drain_serial();
-  std::vector<Result<Prediction>> drain_batched();
 
-  /// Admission, validation, and injected-fault handling shared by both
-  /// drain paths.  On rejection fills `*reply`; on success returns the
+  /// Admission, validation, and injected-fault handling shared by
+  /// predict() and drain().  On rejection fills `*reply`; on success returns the
   /// simulated pre-forward latency (backoff + stragglers) via `*sim_ms`
   /// and the retry count via `*retries`.
   bool admit(const data::Crystal& c, double deadline_ms, double waited_ms,
@@ -213,7 +162,6 @@ class InferenceEngine {
   parallel::FaultInjector injector_{nullptr};
   index_t request_seq_ = 0;  ///< fault-plan "iteration" of the next request
   std::deque<Queued> queue_;
-  StructureCache cache_;
   MicroBatcher batcher_;
   EngineStats stats_;
 };

@@ -1,7 +1,7 @@
-// The serving layer's reply type, shared by the engine, the micro-batcher
-// and the structure cache.  Lives in its own dependency-light header so the
-// batching and caching layers can be used (and tested) without linking the
-// full admission-control engine.
+// The serving layer's reply type, shared by the engine and the
+// micro-batcher.  Lives in its own dependency-light header so the batching
+// layer can be used (and tested) without linking the full admission-control
+// engine.
 #pragma once
 
 #include <vector>
@@ -17,13 +17,8 @@ struct Prediction {
   data::Mat3 stress{};             ///< eV/A^3
   std::vector<double> magmom;      ///< mu_B, [N]
   bool degraded = false;  ///< served by the fp32 fallback, not the int8 path
-  bool cached = false;    ///< replayed from the structure cache, no forward
   int retries = 0;        ///< transient-fault retries spent
   double latency_ms = 0.0;  ///< measured + simulated (backoff, stragglers)
-  // Filled by the sharded router (serve/router.hpp); inert for a
-  // single-engine deployment.
-  int shard = -1;          ///< engine shard that produced the reply
-  bool rerouted = false;   ///< served off its affinity shard (failover)
 };
 
 }  // namespace fastchg::serve

@@ -81,60 +81,6 @@ TEST_F(AllocTest, TrimReturnsFreeListsUpstreamAndKeepsHighWater) {
   pool.deallocate(c, 200);
 }
 
-TEST_F(AllocTest, TrimToReleasesLargestBucketsFirstAndCounts) {
-  alloc::PoolAllocator pool;
-  void* a = pool.allocate(100);   // 128
-  void* b = pool.allocate(1000);  // 1024
-  void* c = pool.allocate(3000);  // 4096
-  pool.deallocate(a, 100);
-  pool.deallocate(b, 1000);
-  pool.deallocate(c, 3000);
-  ASSERT_EQ(pool.stats().slab_bytes, 128u + 1024u + 4096u);
-
-  // Target between 128 and 128+1024: the 4096 and 1024 slabs (largest
-  // first) must go; the 128 slab stays.
-  const std::uint64_t released = pool.trim_to(1100);
-  EXPECT_EQ(released, 4096u + 1024u);
-  const alloc::PoolStats st = pool.stats();
-  EXPECT_EQ(st.slab_bytes, 128u);
-  EXPECT_EQ(st.free_blocks, 1u);
-  EXPECT_EQ(st.trimmed_bytes, 4096u + 1024u);
-
-  // Live blocks are never trimmed: with everything live, trim_to is a no-op.
-  void* d = pool.allocate(100);
-  EXPECT_EQ(pool.trim_to(0), 0u);
-  EXPECT_EQ(pool.stats().live_blocks, 1u);
-  pool.deallocate(d, 100);
-  // Now the free list can be fully drained.
-  EXPECT_EQ(pool.trim_to(0), 128u);
-  EXPECT_EQ(pool.stats().slab_bytes, 0u);
-}
-
-TEST_F(AllocTest, TrimWatermarkTracksLiveDemandWindow) {
-  alloc::PoolAllocator pool;
-  // Burst: 4096 + 1024 live at once, then everything freed.
-  void* big = pool.allocate(3000);   // 4096
-  void* mid = pool.allocate(1000);   // 1024
-  pool.deallocate(mid, 1000);
-  pool.deallocate(big, 3000);
-  EXPECT_EQ(pool.stats().window_high_water, 4096u + 1024u);
-  EXPECT_EQ(pool.stats().slab_bytes, 4096u + 1024u);
-
-  // First watermark trim: demand window covers the burst, nothing to trim.
-  EXPECT_EQ(pool.trim_watermark(/*slack_bytes=*/0), 0u);
-  // The window rebased to current live bytes (0).  Steady small traffic:
-  void* small = pool.allocate(100);  // 128-byte slab, a fresh miss
-  pool.deallocate(small, 100);
-  EXPECT_EQ(pool.stats().window_high_water, 128u);
-
-  // Second watermark trim: recent demand is 128 bytes, so the burst slabs
-  // (5120 bytes) exceed 128 + slack and are returned upstream.
-  const std::uint64_t released = pool.trim_watermark(/*slack_bytes=*/128);
-  EXPECT_GE(released, 4096u + 1024u);
-  EXPECT_LE(pool.stats().slab_bytes, 256u);
-  EXPECT_GE(pool.stats().trimmed_bytes, released);
-}
-
 TEST_F(AllocTest, PoolTrimmedBytesCounterTracksTrims) {
   perf::counters().reset();
   alloc::PoolAllocator pool;
@@ -143,6 +89,55 @@ TEST_F(AllocTest, PoolTrimmedBytesCounterTracksTrims) {
   EXPECT_EQ(perf::counters().snapshot().pool_trimmed_bytes, 0u);
   pool.trim();
   EXPECT_GE(perf::counters().snapshot().pool_trimmed_bytes, 1024u);
+}
+
+// trim() releases only the free lists: live blocks keep their slab bytes,
+// and a live block freed after the trim parks on the free list as usual.
+TEST_F(AllocTest, TrimKeepsLiveBlocks) {
+  alloc::PoolAllocator pool;
+  void* live = pool.allocate(100);     // 128
+  void* parked = pool.allocate(1000);  // 1024
+  pool.deallocate(parked, 1000);
+
+  pool.trim();
+  alloc::PoolStats st = pool.stats();
+  EXPECT_EQ(st.trimmed_bytes, 1024u);
+  EXPECT_EQ(st.slab_bytes, 128u);
+  EXPECT_EQ(st.live_blocks, 1u);
+  EXPECT_EQ(st.live_bytes, 128u);
+  EXPECT_EQ(st.free_blocks, 0u);
+
+  pool.deallocate(live, 100);
+  st = pool.stats();
+  EXPECT_EQ(st.free_blocks, 1u);
+  EXPECT_EQ(st.slab_bytes, 128u);
+  void* again = pool.allocate(100);  // hit: the block parked above
+  EXPECT_EQ(again, live);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  pool.deallocate(again, 100);
+}
+
+// trimmed_bytes accumulates over successive trims, and a trim with empty
+// free lists releases nothing and moves no counter.
+TEST_F(AllocTest, TrimsAccumulateAndEmptyTrimIsNoOp) {
+  perf::counters().reset();
+  alloc::PoolAllocator pool;
+  pool.trim();
+  EXPECT_EQ(pool.stats().trimmed_bytes, 0u);
+  EXPECT_EQ(perf::counters().snapshot().pool_trimmed_bytes, 0u);
+
+  void* a = pool.allocate(200);  // 256
+  pool.deallocate(a, 200);
+  pool.trim();
+  void* b = pool.allocate(3000);  // 4096
+  pool.deallocate(b, 3000);
+  pool.trim();
+  pool.trim();
+  const alloc::PoolStats st = pool.stats();
+  EXPECT_EQ(st.trimmed_bytes, 256u + 4096u);
+  EXPECT_EQ(st.slab_bytes, 0u);
+  EXPECT_EQ(st.high_water, 4096u);
+  EXPECT_EQ(perf::counters().snapshot().pool_trimmed_bytes, 256u + 4096u);
 }
 
 TEST_F(AllocTest, ArenaScopeInstallsAndRestores) {

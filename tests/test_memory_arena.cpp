@@ -94,9 +94,7 @@ TEST_F(MemoryArenaTest, TrainStepLiveBytesReturnToBaseline) {
 TEST_F(MemoryArenaTest, ServeTickLiveBytesReturnToBaseline) {
   alloc::set_pooling_enabled(true);
   model::CHGNet net(tiny_config(), 6);
-  serve::EngineConfig cfg;
-  cfg.cache_capacity = 0;  // a cache legitimately retains tensors
-  serve::InferenceEngine engine(net, cfg);
+  serve::InferenceEngine engine(net, serve::EngineConfig{});
   data::Dataset ds = small_dataset(6, 99);
 
   // Warm tick.

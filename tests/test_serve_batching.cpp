@@ -1,13 +1,11 @@
 // Equivalence / fuzz battery for the dynamic micro-batched serving pipeline
-// (serve/batcher.hpp, serve/struct_cache.hpp, InferenceEngine::drain):
+// (serve/batcher.hpp, InferenceEngine::drain):
 //
 //   * property test: fused multi-request forwards reproduce single-request
 //     forwards (E/F/S/magmom within 1e-10) for seeded random crystals,
 //     across kernel thread counts and replica-worker fan-outs;
 //   * poisoned-batch isolation: one NaN structure in a fused batch yields
 //     kNumericFault for exactly that request via bisection;
-//   * structure-cache behavior: deterministic LRU eviction, counter
-//     reconciliation, cache-on == cache-off replies;
 //   * fuzz: hundreds of corrupted crystals plus an injected fault plan
 //     through submit/drain -- every reply typed, overflow -> kOverloaded,
 //     zero crashes.
@@ -26,7 +24,6 @@
 #include "serve/batcher.hpp"
 #include "serve/engine.hpp"
 #include "serve/fuzz.hpp"
-#include "serve/struct_cache.hpp"
 
 namespace fastchg::serve {
 namespace {
@@ -135,32 +132,38 @@ TEST(BatchEquivalence, FusedMatchesSingleAcrossThreadsAndWorkers) {
 }
 
 // The engine's batched drain must agree with its own single-request
-// reference path (predict) end to end.
+// reference path (predict) end to end, both for fused ticks and for ticks
+// of one request (max_batch 1).
 TEST(BatchEquivalence, EngineDrainMatchesPredict) {
   model::CHGNet net(tiny_config(), 11);
-  EngineConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batch_workers = 2;
-  cfg.queue_capacity = 32;
-  InferenceEngine batched(net, cfg);
   InferenceEngine reference(net, EngineConfig{});
+  for (const index_t max_batch : {index_t{8}, index_t{1}}) {
+    EngineConfig cfg;
+    cfg.max_batch = max_batch;
+    cfg.batch_workers = 2;
+    cfg.queue_capacity = 32;
+    InferenceEngine batched(net, cfg);
 
-  std::vector<data::Crystal> crystals;
-  for (std::uint64_t seed = 300; seed < 310; ++seed) {
-    crystals.push_back(seeded_crystal(seed, 3, 8));
-    ASSERT_TRUE(batched.submit(crystals.back()).ok());
-  }
-  auto replies = batched.drain();
-  ASSERT_EQ(replies.size(), crystals.size());
-  EXPECT_GE(batched.stats().micro_batches, 2u);  // 10 requests, max_batch 8
-  EXPECT_EQ(batched.stats().served, crystals.size());
+    std::vector<data::Crystal> crystals;
+    for (std::uint64_t seed = 300; seed < 310; ++seed) {
+      crystals.push_back(seeded_crystal(seed, 3, 8));
+      ASSERT_TRUE(batched.submit(crystals.back()).ok());
+    }
+    auto replies = batched.drain();
+    ASSERT_EQ(replies.size(), crystals.size());
+    // 10 requests: two ticks at max_batch 8, ten at max_batch 1.
+    EXPECT_EQ(batched.stats().micro_batches, max_batch == 1 ? 10u : 2u);
+    EXPECT_EQ(batched.stats().served, crystals.size());
 
-  for (std::size_t i = 0; i < crystals.size(); ++i) {
-    ASSERT_TRUE(replies[i].ok()) << replies[i].error().message;
-    auto want = reference.predict(crystals[i]);
-    ASSERT_TRUE(want.ok());
-    expect_equivalent(replies[i].value(), want.value(),
-                      "drain vs predict, struct " + std::to_string(i));
+    for (std::size_t i = 0; i < crystals.size(); ++i) {
+      ASSERT_TRUE(replies[i].ok()) << replies[i].error().message;
+      auto want = reference.predict(crystals[i]);
+      ASSERT_TRUE(want.ok());
+      expect_equivalent(replies[i].value(), want.value(),
+                        "drain vs predict, max_batch " +
+                            std::to_string(max_batch) + ", struct " +
+                            std::to_string(i));
+    }
   }
 }
 
@@ -174,7 +177,6 @@ TEST(GoldenKernels, ServeTickLaunchesExactCount) {
   model::CHGNet net(golden::golden_config(), 12);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.cache_capacity = 0;  // a result-cache hit would skip the forward
   InferenceEngine engine(net, cfg);
   const auto tick = [&] {
     for (index_t i = 0; i < ds.size(); ++i) {
@@ -250,135 +252,6 @@ TEST(BatchIsolation, PoisonedRequestFailsAloneViaBisection) {
   EXPECT_EQ(perf::event_count("serve.batch.isolated"), isolated_before + 1);
 }
 
-// ---------------------------------------------------------- structure cache --
-
-TEST(StructCache, FingerprintCanonicalizesEquivalentGeometry) {
-  data::GraphConfig gcfg;
-  data::Crystal a = seeded_crystal(500);
-  a.frac[0][0] = 0.25;  // exactly representable, so the wrap is exact
-  a.frac[1][2] = 0.5;
-  data::Crystal b = a;
-  b.frac[0][0] = 1.25;  // out-of-cell image of the same structure
-  b.frac[1][2] = -1.5;
-  EXPECT_EQ(StructureCache::fingerprint(a, gcfg),
-            StructureCache::fingerprint(b, gcfg));
-
-  data::Crystal c = a;
-  c.frac[0][0] = 0.0;
-  data::Crystal d = a;
-  d.frac[0][0] = -0.0;
-  EXPECT_EQ(StructureCache::fingerprint(c, gcfg),
-            StructureCache::fingerprint(d, gcfg));
-
-  data::Crystal e = a;
-  e.frac[0][0] = a.frac[0][0] + 0.125;  // genuinely different geometry
-  EXPECT_NE(StructureCache::fingerprint(a, gcfg),
-            StructureCache::fingerprint(e, gcfg));
-}
-
-TEST(StructCache, DeterministicLruEvictionOrder) {
-  data::GraphConfig gcfg;
-  StructureCache cache(/*capacity=*/2, gcfg);
-  data::Crystal a = seeded_crystal(510), b = seeded_crystal(511),
-                c = seeded_crystal(512), d = seeded_crystal(513);
-
-  (void)cache.lookup(a);
-  (void)cache.lookup(b);
-  EXPECT_TRUE(cache.contains(a));
-  EXPECT_TRUE(cache.contains(b));
-
-  (void)cache.lookup(c);  // capacity 2: least-recent (a) is displaced
-  EXPECT_FALSE(cache.contains(a));
-  EXPECT_TRUE(cache.contains(b));
-  EXPECT_TRUE(cache.contains(c));
-
-  (void)cache.lookup(b);  // refresh b to most-recent
-  (void)cache.lookup(d);  // now c is least-recent and is displaced
-  EXPECT_TRUE(cache.contains(b));
-  EXPECT_TRUE(cache.contains(d));
-  EXPECT_FALSE(cache.contains(c));
-
-  const CacheStats& st = cache.stats();
-  EXPECT_EQ(st.lookups, 5u);
-  EXPECT_EQ(st.misses, 4u);  // a, b, c, d
-  EXPECT_EQ(st.hits, 1u);    // the b refresh
-  EXPECT_EQ(st.evictions, 2u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(StructCache, CountersReconcileWithRequestStream) {
-  model::CHGNet net(tiny_config(), 17);
-  EngineConfig cfg;
-  cfg.max_batch = 8;
-  cfg.cache_capacity = 32;
-  cfg.queue_capacity = 8;
-  InferenceEngine eng(net, cfg);
-
-  // 3 rounds over the same 8 unique structures, drained per round so every
-  // repeat sees the stored result of an earlier tick.
-  const std::size_t rounds = 3, unique = 8;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t u = 0; u < unique; ++u) {
-      ASSERT_TRUE(eng.submit(seeded_crystal(600 + u, 3, 6)).ok());
-    }
-    for (const auto& reply : eng.drain()) {
-      ASSERT_TRUE(reply.ok()) << reply.error().message;
-      EXPECT_EQ(reply.value().cached, r > 0);
-    }
-  }
-
-  const CacheStats& cs = eng.cache().stats();
-  const EngineStats& es = eng.stats();
-  EXPECT_EQ(es.submitted, rounds * unique);
-  EXPECT_EQ(es.served, rounds * unique);
-  EXPECT_EQ(cs.lookups, rounds * unique);
-  EXPECT_EQ(cs.misses, unique);
-  EXPECT_EQ(cs.hits, (rounds - 1) * unique);
-  EXPECT_EQ(cs.result_hits, (rounds - 1) * unique);
-  EXPECT_EQ(cs.evictions, 0u);
-  EXPECT_EQ(es.cached, (rounds - 1) * unique);
-  // Every request is accounted for exactly once across the tallies.
-  EXPECT_EQ(cs.hits + cs.misses, es.submitted);
-}
-
-TEST(StructCache, CacheOnAndOffProduceIdenticalReplies) {
-  model::CHGNet net(tiny_config(), 19);
-  EngineConfig on;
-  on.max_batch = 4;
-  on.cache_capacity = 16;
-  on.queue_capacity = 64;
-  EngineConfig off = on;
-  off.cache_capacity = 0;
-  InferenceEngine cached(net, on);
-  InferenceEngine uncached(net, off);
-
-  // 6 uniques, each requested three times across separate drains.
-  std::vector<data::Crystal> crystals;
-  for (std::uint64_t seed = 700; seed < 706; ++seed) {
-    crystals.push_back(seeded_crystal(seed, 3, 7));
-  }
-  std::vector<Result<Prediction>> from_cached, from_uncached;
-  for (int round = 0; round < 3; ++round) {
-    for (const data::Crystal& c : crystals) {
-      ASSERT_TRUE(cached.submit(c).ok());
-      ASSERT_TRUE(uncached.submit(c).ok());
-    }
-    for (auto& r : cached.drain()) from_cached.push_back(std::move(r));
-    for (auto& r : uncached.drain()) from_uncached.push_back(std::move(r));
-  }
-
-  ASSERT_EQ(from_cached.size(), from_uncached.size());
-  for (std::size_t i = 0; i < from_cached.size(); ++i) {
-    ASSERT_TRUE(from_cached[i].ok());
-    ASSERT_TRUE(from_uncached[i].ok());
-    expect_equivalent(from_cached[i].value(), from_uncached[i].value(),
-                      "cache-on vs cache-off, reply " + std::to_string(i));
-    EXPECT_FALSE(from_uncached[i].value().cached);
-  }
-  EXPECT_GT(cached.cache().stats().result_hits, 0u);
-  EXPECT_EQ(uncached.cache().stats().hits, 0u);
-}
-
 // ----------------------------------------------------------------- fuzzing --
 
 // Bursty fuzzed traffic (50% corrupted crystals) plus an injected fault plan
@@ -391,7 +264,6 @@ TEST(BatchFuzz, CorruptedStreamStaysTyped) {
   EngineConfig cfg;
   cfg.max_batch = 4;
   cfg.batch_workers = 2;
-  cfg.cache_capacity = 16;
   cfg.queue_capacity = 8;
   InferenceEngine eng(net, cfg);
   parallel::FaultPlan plan = parallel::FaultPlan::random(

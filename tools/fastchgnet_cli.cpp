@@ -7,12 +7,12 @@
 //   fastchgnet relax    --seed 5                            relax a structure
 //   fastchgnet charges  --seed 5                            infer charges
 //   fastchgnet serve    --requests 200 --quantize           robust inference
-//   fastchgnet serve    --shards 4 --fault-plan fail:1@3    sharded failover
 //   fastchgnet trace dp --devices 4 --fault-plan slow:1@2*3#2   span tracing
 //   fastchgnet info                                         build/config info
 //
 // Every subcommand prints human-readable output; flags have sensible
 // defaults so `fastchgnet train` alone gives a working demo.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -33,7 +33,6 @@
 #include "perf/trace.hpp"
 #include "serve/engine.hpp"
 #include "serve/fuzz.hpp"
-#include "serve/router.hpp"
 #include "train/trainer.hpp"
 
 namespace fastchg::cli {
@@ -50,7 +49,7 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       flags[arg] = argv[++i];
     } else {
-      flags[arg] = "1";
+      flags[arg] = std::string("1");
     }
   }
   return flags;
@@ -347,114 +346,6 @@ int cmd_relax(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-/// `fastchgnet serve --shards N` (N > 1): the fuzzed request stream flows
-/// through the sharded front-end instead of a single engine.  The fault
-/// plan becomes a *shard* fault schedule (fail:SHARD@TICK trips that shard,
-/// slow:SHARD@TICK*F inflates its simulated drain time); tripped shards
-/// fail their backlog over to siblings and restart with a cold cache.
-int cmd_serve_sharded(const std::map<std::string, std::string>& flags,
-                      const model::CHGNet& net, serve::EngineConfig ecfg,
-                      const parallel::FaultPlan& plan) {
-  const index_t requests = flag_i(flags, "requests", 200);
-  const auto seed = static_cast<std::uint64_t>(flag_i(flags, "seed", 5));
-
-  serve::RouterConfig rc;
-  rc.shard.engine = ecfg;
-  rc.num_shards = static_cast<int>(flag_i(flags, "shards", 2));
-  rc.vnodes = static_cast<int>(flag_i(flags, "vnodes", 64));
-  rc.shed_watermark =
-      static_cast<std::size_t>(flag_i(flags, "shed-watermark", 48));
-  rc.strict_reroute = flag_b(flags, "strict-affinity");
-  rc.shard.restart_ticks =
-      static_cast<int>(flag_i(flags, "restart-ticks", 2));
-  if (!plan.empty()) rc.fault_plan = &plan;
-  serve::ShardRouter router(net, rc);
-  std::printf("sharded serving: %d shards, %d vnodes/shard, shed "
-              "watermark %zu%s\n",
-              router.num_shards(), rc.vnodes, rc.shed_watermark,
-              rc.strict_reroute ? ", strict affinity" : "");
-  if (!plan.empty()) {
-    std::printf("shard fault plan: %zu event(s) over the router ticks\n",
-                plan.events.size());
-  }
-
-  Rng rng(seed);
-  data::GeneratorConfig gen;
-  gen.min_atoms = 2;
-  gen.max_atoms = 12;
-  std::map<std::string, index_t> outcomes;
-  // Submit in waves of one full fleet batch, then tick the router: each
-  // drain fuses every shard's queue, trips/restarts scheduled shards, and
-  // fails tripped backlogs over to siblings.
-  const index_t wave =
-      std::max<index_t>(1, static_cast<index_t>(router.num_shards()) *
-                               ecfg.max_batch);
-  index_t in_wave = 0;
-  const auto tick = [&] {
-    for (const auto& r : router.drain()) {
-      ++outcomes[r.ok() ? (r.value().rerouted ? "served (rerouted)"
-                                              : "served")
-                        : serve::to_string(r.code())];
-    }
-    in_wave = 0;
-  };
-  for (index_t i = 0; i < requests; ++i) {
-    data::Crystal c;
-    (void)serve::fuzz_crystal(rng, c, 0.3, gen);
-    auto ticket = router.submit(std::move(c));
-    if (!ticket.ok()) {
-      ++outcomes[serve::to_string(ticket.code())];
-    } else if (++in_wave >= wave) {
-      tick();
-    }
-  }
-  tick();
-  // Idle ticks let draining/dead shards finish their restart countdown so
-  // the health roll-up below reflects the steady state, not mid-recovery.
-  for (int i = 0; i < rc.shard.restart_ticks + 2; ++i) tick();
-
-  std::printf("%lld fuzzed requests (30%% corrupted):\n",
-              static_cast<long long>(requests));
-  for (const auto& [k, n] : outcomes) {
-    std::printf("  %-18s %6lld\n", k.c_str(), static_cast<long long>(n));
-  }
-  const serve::RouterStats& rs = router.stats();
-  std::printf("router: routed %llu  rerouted %llu  failovers %llu "
-              "(dropped %llu)  shed %llu  trips %llu  restarts %llu\n",
-              static_cast<unsigned long long>(rs.routed),
-              static_cast<unsigned long long>(rs.rerouted),
-              static_cast<unsigned long long>(rs.failovers),
-              static_cast<unsigned long long>(rs.failover_dropped),
-              static_cast<unsigned long long>(rs.shed),
-              static_cast<unsigned long long>(rs.trips),
-              static_cast<unsigned long long>(rs.restarts));
-  const serve::EngineStats fleet = router.fleet_stats();
-  std::printf("fleet: served %llu  invalid %llu  numeric %llu  "
-              "micro-batches %llu  isolated faults %llu\n",
-              static_cast<unsigned long long>(fleet.served),
-              static_cast<unsigned long long>(fleet.rejected_invalid),
-              static_cast<unsigned long long>(fleet.numeric_faults),
-              static_cast<unsigned long long>(fleet.micro_batches),
-              static_cast<unsigned long long>(fleet.isolated_faults));
-  if (ecfg.cache_capacity > 0) {
-    const serve::CacheStats cs = router.fleet_cache_stats();
-    std::printf("fleet cache: lookups %llu = hits %llu + misses %llu  "
-                "evictions %llu\n",
-                static_cast<unsigned long long>(cs.hits + cs.misses),
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.misses),
-                static_cast<unsigned long long>(cs.evictions));
-  }
-  std::printf("shard health:");
-  for (int id : router.shard_ids()) {
-    std::printf("  #%d %s (q %zu)", id,
-                serve::to_string(router.shard(id).health()),
-                router.shard(id).engine().queue_depth());
-  }
-  std::printf("\n");
-  return 0;
-}
-
 int cmd_serve(const std::map<std::string, std::string>& flags) {
   const index_t requests = flag_i(flags, "requests", 200);
   const auto seed = static_cast<std::uint64_t>(flag_i(flags, "seed", 5));
@@ -467,17 +358,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
       static_cast<double>(flag_i(flags, "deadline-ms", 1000000));
   cfg.max_batch = flag_i(flags, "max-batch", 8);
   cfg.batch_workers = static_cast<int>(flag_i(flags, "batch-workers", 1));
-  cfg.cache_capacity =
-      static_cast<std::size_t>(flag_i(flags, "cache-capacity", 0));
 
   parallel::FaultPlan plan;
   if (auto it = flags.find("fault-plan"); it != flags.end()) {
     plan = parallel::parse_fault_plan(it->second);
   }
-  if (flag_i(flags, "shards", 1) > 1) {
-    return cmd_serve_sharded(flags, net, cfg, plan);
-  }
-
   serve::InferenceEngine eng(net, cfg);
   if (!plan.empty()) {
     eng.set_fault_plan(&plan);
@@ -497,28 +382,23 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   gen.max_atoms = 12;
   std::map<std::string, index_t> outcomes;
   const auto record = [&](const serve::Result<serve::Prediction>& r) {
-    ++outcomes[r.ok() ? (r.value().cached     ? "served (cached)"
-                         : r.value().degraded ? "served (degraded)"
-                                              : "served")
+    ++outcomes[r.ok() ? (r.value().degraded ? "served (degraded)" : "served")
                       : serve::to_string(r.code())];
   };
   // Requests flow through the queued micro-batched pipeline: submit until a
   // full tick is queued, then drain (fused forward of up to max-batch
-  // structures, structure cache, bisection fault isolation).
-  const bool batched = cfg.max_batch > 1 || cfg.cache_capacity > 0;
+  // structures, bisection fault isolation).
+  const auto tick =
+      static_cast<std::size_t>(std::max<index_t>(1, cfg.max_batch));
   for (index_t i = 0; i < requests; ++i) {
     data::Crystal c;
     (void)serve::fuzz_crystal(rng, c, 0.3, gen);
-    if (!batched) {
-      record(eng.predict(c));
-      continue;
-    }
     auto ticket = eng.submit(std::move(c));
     if (!ticket.ok()) {
       ++outcomes[serve::to_string(ticket.code())];
       continue;
     }
-    if (eng.queue_depth() >= static_cast<std::size_t>(cfg.max_batch)) {
+    if (eng.queue_depth() >= tick) {
       for (const auto& r : eng.drain()) record(r);
     }
   }
@@ -548,16 +428,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(st.micro_batches),
               static_cast<unsigned long long>(st.bisections),
               static_cast<unsigned long long>(st.isolated_faults));
-  if (cfg.cache_capacity > 0) {
-    const serve::CacheStats& cs = eng.cache().stats();
-    std::printf("cache: hits %llu (result replays %llu)  misses %llu  "
-                "evictions %llu  resident %zu/%zu\n",
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.result_hits),
-                static_cast<unsigned long long>(cs.misses),
-                static_cast<unsigned long long>(cs.evictions),
-                eng.cache().size(), eng.cache().capacity());
-  }
   return 0;
 }
 
@@ -645,11 +515,8 @@ int usage() {
       "  relax --seed S --steps N\n"
       "  charges --seed S              infer oxidation states from magmoms\n"
       "  serve --requests N [--quantize --strict --deadline-ms D]\n"
-      "        [--max-batch B --batch-workers W --cache-capacity C]\n"
+      "        [--max-batch B --batch-workers W]\n"
       "        [--fault-plan \"fail:0@3\"]   fuzzed robust-inference demo\n"
-      "        [--shards S --vnodes V --shed-watermark Q --restart-ticks R\n"
-      "         --strict-affinity]  S > 1 serves through the shard router;\n"
-      "        the fault plan then trips shards (fail:SHARD@TICK)\n"
       "  trace <train|dp|serve|md> [--trace-out PATH] [target flags]\n"
       "        run the target with span tracing on; writes a Chrome trace\n");
   return 1;

@@ -22,7 +22,7 @@
 //   * pool hit rates and slab high-water for the measured phases.
 //
 // All gated metrics are deterministic (fixed seeds, prefetch disabled,
-// batch_workers=1); wall-clock metrics use the ".seconds" suffix so the
+// one serving thread); wall-clock metrics use the ".seconds" suffix so the
 // perf gate applies its loose tolerance.  Note "mallocs" here counts
 // allocations made through the Allocator layer (tensor storage + graph
 // node headers), not untracked STL internals -- see docs/memory.md.
@@ -147,7 +147,6 @@ PhaseCounts measure_serve(bool pooled, bool quantize, const BenchOptions& opt) {
   serve::EngineConfig cfg;
   cfg.graph = bench::bench_graph_config(opt);
   cfg.max_batch = 4;
-  cfg.batch_workers = 1;  // deterministic single-worker counts
   cfg.queue_capacity = 64;
   cfg.quantize = quantize;
   serve::InferenceEngine engine(net, cfg);
@@ -228,7 +227,7 @@ double bitexact_dp(const BenchOptions& opt) {
     parallel::DataParallelTrainer dp(bench::bench_model_config(3, opt), cfg,
                                      23);
     dp.train_epoch(ds, all_rows(ds), 0);
-    return flatten_parameters(dp.master());
+    return flatten_parameters(dp.model());
   };
   return max_abs_diff(run(true), run(false));
 }
@@ -360,7 +359,7 @@ int main(int argc, char** argv) {
   std::printf("\nshape check: %s\n", pass ? "PASS" : "FAIL");
 
   // Gated metrics: allocation counts and bit-exactness are deterministic
-  // (fixed seeds, prefetch off, one worker); timings use ".seconds".
+  // (fixed seeds, prefetch off, one serving thread); timings use ".seconds".
   rec.metric("train.pool_off.mallocs_per_step", train_off.mallocs_per_unit);
   rec.metric("train.pool_on.mallocs_per_step", train_on.mallocs_per_unit);
   rec.metric("train.malloc_ratio", train_ratio);

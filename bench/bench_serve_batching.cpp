@@ -6,7 +6,7 @@
 //   fused  : max_batch=8, disjoint-union forwards (Alg. 2 batched basis +
 //            packed GEMMs amortize per-forward dispatch)
 //
-// Kernel-launch counts are deterministic (workers=1, fixed seeds) and gate
+// Kernel-launch counts are deterministic (fixed seeds) and gate
 // at the tight tolerance; wall-clock metrics use the
 // ".seconds" suffix for the loose tolerance.  tools/perf_gate compares the
 // emitted BENCH_trace_serve_batching.json against

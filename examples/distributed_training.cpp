@@ -42,10 +42,9 @@ int main() {
         worst_skew = std::max(worst_skew, it.max_compute_s / mean);
       }
       std::printf("epoch %lld: loss %.4f | simulated step time %.3fs/iter, "
-                  "worst compute skew %.2fx, replicas in sync: %s\n",
+                  "worst compute skew %.2fx\n",
                   static_cast<long long>(epoch), res.mean_loss,
-                  res.simulated_seconds / res.iterations.size(), worst_skew,
-                  dp.replica_divergence() == 0.0f ? "yes" : "NO");
+                  res.simulated_seconds / res.iterations.size(), worst_skew);
     }
   }
   std::printf("\nThe load-balance sampler should show a smaller worst "

@@ -17,7 +17,9 @@ DataParallelTrainer::DataParallelTrainer(const model::ModelConfig& mcfg,
     : cfg_(cfg),
       lr_(cfg.scale_lr
               ? train::scaled_init_lr(cfg.global_batch, cfg.lr_k, cfg.base_lr)
-              : cfg.base_lr) {
+              : cfg.base_lr),
+      model_(mcfg, model_seed),
+      opt_(model_.parameters(), lr_) {
   FASTCHG_CHECK(cfg.num_devices >= 1, "DataParallelTrainer: devices");
   FASTCHG_CHECK(cfg.global_batch % cfg.num_devices == 0,
                 "DataParallelTrainer: global batch "
@@ -25,26 +27,17 @@ DataParallelTrainer::DataParallelTrainer(const model::ModelConfig& mcfg,
                     << cfg.num_devices
                     << " devices (elastic recovery keeps the per-device "
                        "batch fixed)");
-  for (int d = 0; d < cfg.num_devices; ++d) {
-    // One pool per virtual device, installed while the replica and its
-    // optimizer state are built so their tensors live in the device's pool
-    // from the start (mirrors per-GPU caching-allocator instances).
-    device_pools_.push_back(std::make_shared<alloc::PoolAllocator>());
-    alloc::ArenaScope arena(device_pools_.back());
-    replicas_.push_back(std::make_unique<model::CHGNet>(mcfg, model_seed));
-    if (d > 0) replicas_[static_cast<std::size_t>(d)]->copy_parameters_from(*replicas_[0]);
-    opts_.push_back(std::make_unique<train::Adam>(
-        replicas_.back()->parameters(), lr_));
-    alive_.push_back(d);
-  }
+  for (int d = 0; d < cfg.num_devices; ++d) alive_.push_back(d);
+  const std::vector<ag::Var> params = model_.parameters();
+  for (const ag::Var& p : params) grad_sum_.push_back(Tensor::zeros(p.shape()));
   // DDP-style 64 KiB gradient buckets determine the all-reduce call count
   // in the comm-cost accounting.
-  num_buckets_ = static_cast<int>(
-      make_gradient_buckets(replicas_[0]->parameters(), 64 * 1024).size());
+  num_buckets_ =
+      static_cast<int>(make_gradient_buckets(params, 64 * 1024).size());
 }
 
 std::uint64_t DataParallelTrainer::gradient_bytes() const {
-  return tensor_bytes(replicas_[0]->num_parameters());
+  return tensor_bytes(model_.num_parameters());
 }
 
 float DataParallelTrainer::elastic_lr() const {
@@ -60,8 +53,8 @@ float DataParallelTrainer::elastic_lr() const {
 double DataParallelTrainer::join_cost_seconds(
     std::uint64_t state_bytes) const {
   // Re-forming the enlarged ring costs the same barrier as a shrink, plus
-  // the full-state broadcast streamed lead -> joiner (params + both Adam
-  // moments + AtomRef), paid at the slower tier once the grown ring spans
+  // the full-state broadcast a real joiner receives from the lead (params +
+  // both Adam moments), paid at the slower tier once the grown ring spans
   // nodes: a joiner generally lands wherever the scheduler has capacity.
   const int p = num_alive();
   const bool spans = p > cfg_.comm.gpus_per_node;
@@ -82,58 +75,32 @@ double DataParallelTrainer::recovery_cost_seconds() const {
          ring_allreduce_seconds(gradient_bytes(), p, cfg_.comm);
 }
 
+void DataParallelTrainer::accumulate_device_gradients() {
+  // A parameter the shard never touched (e.g. no angles) has no grad:
+  // it contributes zero.
+  const std::vector<ag::Var> params = model_.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (params[i].has_grad()) grad_sum_[i].add_(params[i].grad());
+  }
+}
+
 void DataParallelTrainer::all_reduce_gradients() {
-  // Average gradients across the surviving replicas -- the arithmetic NCCL
-  // would do on the shrunken communicator.
-  std::vector<std::vector<ag::Var>> params;
-  params.reserve(alive_.size());
-  for (int d : alive_) {
-    params.push_back(replicas_[static_cast<std::size_t>(d)]->parameters());
-  }
-  const float inv_p = 1.0f / static_cast<float>(params.size());
-  for (std::size_t i = 0; i < params[0].size(); ++i) {
-    // Some replicas may lack a grad (e.g. parameter unused on a shard with
-    // no angles); treat missing as zero.
-    Tensor sum = Tensor::zeros(params[0][i].shape());
-    for (auto& dev_params : params) {
-      if (dev_params[i].has_grad()) sum.add_(dev_params[i].grad());
-    }
+  // Average the summed gradients over the surviving devices -- the
+  // arithmetic NCCL would do on the shrunken communicator.
+  const float inv_p = 1.0f / static_cast<float>(alive_.size());
+  std::vector<ag::Var> params = model_.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    Tensor& sum = grad_sum_[i];
     sum.mul_(inv_p);
-    for (auto& dev_params : params) {
-      // Copy into the existing accumulator rather than replacing its
-      // storage, so each gradient buffer stays put across steps.
-      ag::Var& p = dev_params[i];
-      if (p.has_grad()) {
-        std::copy(sum.data(), sum.data() + sum.numel(),
-                  p.mutable_grad().data());
-      } else {
-        p.set_grad(sum.clone());
-      }
+    // Copy into the existing accumulator rather than replacing its
+    // storage, so each gradient buffer stays put across steps.
+    ag::Var& p = params[i];
+    if (p.has_grad()) {
+      std::copy(sum.data(), sum.data() + sum.numel(), p.mutable_grad().data());
+    } else {
+      p.set_grad(sum.clone());
     }
   }
-}
-
-void DataParallelTrainer::broadcast_from_master() {
-  const model::CHGNet& src = *replicas_[static_cast<std::size_t>(alive_.front())];
-  for (std::size_t i = 1; i < alive_.size(); ++i) {
-    replicas_[static_cast<std::size_t>(alive_[i])]->copy_parameters_from(src);
-  }
-}
-
-float DataParallelTrainer::replica_divergence() const {
-  float worst = 0.0f;
-  auto ref = replicas_[static_cast<std::size_t>(alive_.front())]->parameters();
-  for (std::size_t d = 1; d < alive_.size(); ++d) {
-    auto other = replicas_[static_cast<std::size_t>(alive_[d])]->parameters();
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      const float* a = ref[i].value().data();
-      const float* b = other[i].value().data();
-      for (index_t k = 0; k < ref[i].numel(); ++k) {
-        worst = std::max(worst, std::fabs(a[k] - b[k]));
-      }
-    }
-  }
-  return worst;
 }
 
 std::uint64_t shard_bytes(const data::Dataset& ds,
@@ -157,10 +124,9 @@ EpochResult DataParallelTrainer::train_epoch(
   perf::Timer wall;
   EpochResult result;
 
-  if (cfg_.fit_atom_ref && !master().has_atom_ref()) {
-    const std::vector<float> e0 = train::fit_atom_ref(
-        ds, rows, master().config().num_species);
-    for (auto& r : replicas_) r->set_atom_ref(e0);
+  if (cfg_.fit_atom_ref && !model_.has_atom_ref()) {
+    model_.set_atom_ref(
+        train::fit_atom_ref(ds, rows, model_.config().num_species));
   }
 
   const FaultInjector inj(faults);
@@ -214,9 +180,7 @@ EpochResult DataParallelTrainer::train_epoch(
                         << iter << " of epoch " << epoch);
       const std::vector<index_t> remaining = collect_remaining();
       lr_ = elastic_lr();
-      for (int d : alive_) {
-        opts_[static_cast<std::size_t>(d)]->set_lr(lr_);
-      }
+      opt_.set_lr(lr_);
       const double reform = recovery_cost_seconds();
       pending_recovery_s += reform;
       result.recovery_seconds += reform;
@@ -226,11 +190,11 @@ EpochResult DataParallelTrainer::train_epoch(
     }
 
     // -- joins scheduled for this iteration: previously-failed devices
-    //    re-enter the ring.  The lead replica streams its full state to
-    //    each joiner through the fixed staging buffer (bit-identical
-    //    afterwards, asserted in tests), the unconsumed rows re-shard over
-    //    the enlarged ring, the LR rescales back up (inverse Eq. 14), and
-    //    the broadcast + ring re-form is charged to the next step.
+    //    re-enter the ring and train the shared weights from the next step.
+    //    The unconsumed rows re-shard over the enlarged ring, the LR
+    //    rescales back up (inverse Eq. 14), and the full-state broadcast a
+    //    real joiner would receive (params + both Adam moments) plus the
+    //    ring re-form is charged to the next step.
     std::vector<int> joined;
     for (int d : inj.joins_at(iter)) {
       if (d < 0 || d >= cfg_.num_devices) continue;
@@ -240,26 +204,15 @@ EpochResult DataParallelTrainer::train_epoch(
       }
     }
     if (!joined.empty()) {
-      const auto lead = static_cast<std::size_t>(alive_.front());
-      train::StateStreamer streamer;
-      std::uint64_t streamed = 0;
       for (int d : joined) {
-        // Stream into the joiner's own pool: its replica tensors already
-        // live there, and the chunked copy allocates nothing model-sized.
-        alloc::ArenaScope arena(device_pools_[static_cast<std::size_t>(d)]);
-        streamed += train::broadcast_state(
-            *replicas_[lead], *opts_[lead],
-            *replicas_[static_cast<std::size_t>(d)],
-            *opts_[static_cast<std::size_t>(d)], streamer);
         alive_.push_back(d);
         result.joined_devices.push_back(d);
       }
       std::sort(alive_.begin(), alive_.end());
       lr_ = elastic_lr();
-      for (int d : alive_) {
-        opts_[static_cast<std::size_t>(d)]->set_lr(lr_);
-      }
-      const double cost = join_cost_seconds(streamed);
+      opt_.set_lr(lr_);
+      const double cost =
+          join_cost_seconds(3 * gradient_bytes() * joined.size());
       pending_join_s += cost;
       result.join_seconds += cost;
       plan = make_plan(collect_remaining());
@@ -273,23 +226,21 @@ EpochResult DataParallelTrainer::train_epoch(
     it.device_compute_s.resize(shards.size());
     std::uint64_t max_bytes = 0;
     bool finite = true;
+    for (Tensor& sum : grad_sum_) sum.fill_(0.0f);
     for (std::size_t d = 0; d < shards.size(); ++d) {
       perf::TraceSpan span_dev("dp.device_compute", "dp");
       perf::Timer t;
-      // Step-scoped arena on this device's own pool: batch tensors, forward
-      // activations and the backward graph recycle within the device, never
-      // crossing into a sibling replica's pool.
-      alloc::ArenaScope arena(
-          device_pools_[static_cast<std::size_t>(alive_[d])]);
+      // Step-scoped arena: batch tensors, forward activations and the
+      // backward graph recycle through the one step pool.
+      alloc::ArenaScope arena(step_pool_);
       data::Batch b = data::collate_indices(ds, shards[d]);
-      const int dev = alive_[d];
-      model::CHGNet& net = *replicas_[static_cast<std::size_t>(dev)];
-      net.zero_grad();
+      model_.zero_grad();
 
       float loss_value = 0.0f;
       {
         // The shard's graph tears down inside the timed device compute.
-        model::ModelOutput out = net.forward(b, model::ForwardMode::kTrain);
+        model::ModelOutput out =
+            model_.forward(b, model::ForwardMode::kTrain);
         train::LossResult loss =
             train::chgnet_loss(out, b, cfg_.weights, cfg_.huber_delta);
         loss_value = loss.total.item();
@@ -309,6 +260,7 @@ EpochResult DataParallelTrainer::train_epoch(
       it.device_compute_s[d] =
           t.seconds() * inj.compute_multiplier(alive_[d], iter);
       max_bytes = std::max(max_bytes, shard_bytes(ds, shards[d]));
+      accumulate_device_gradients();
     }
 
     if (finite || !cfg_.guard_nonfinite) {
@@ -316,38 +268,21 @@ EpochResult DataParallelTrainer::train_epoch(
       all_reduce_gradients();
       if (cfg_.guard_nonfinite) {
         // A finite loss can still overflow in backward; check the averaged
-        // gradient once (it is identical on every replica).
-        finite = train::gradients_finite(
-            replicas_[static_cast<std::size_t>(alive_.front())]->parameters());
+        // gradient once.
+        finite = train::gradients_finite(model_.parameters());
       }
     }
     if (cfg_.guard_nonfinite && !finite) {
-      // Guard: every replica skips this step together (preserving the DDP
-      // invariant) and the LR backs off for the rest of the run.
-      for (auto& r : replicas_) r->zero_grad();
+      // Guard: skip this step and back off the LR for the rest of the run.
+      model_.zero_grad();
       backoff_scale_ *= cfg_.lr_backoff;
       lr_ = elastic_lr();
-      for (int d : alive_) opts_[static_cast<std::size_t>(d)]->set_lr(lr_);
+      opt_.set_lr(lr_);
       ++result.skipped_steps;
       ++skipped_steps_;
     } else {
       perf::TraceSpan span_opt("dp.optimizer", "dp");
-      for (int d : alive_) opts_[static_cast<std::size_t>(d)]->step();
-    }
-
-    // -- divergence watchdog: if the bit-identity invariant is ever broken
-    //    (flaky memory, a buggy kernel), repair by re-broadcasting from the
-    //    lead replica; the broadcast is charged like a recovery.
-    if (cfg_.divergence_check_every > 0 && num_alive() > 1 &&
-        (iter + 1) % cfg_.divergence_check_every == 0) {
-      if (replica_divergence() > cfg_.divergence_tolerance) {
-        broadcast_from_master();
-        ++result.rebroadcasts;
-        const double cost =
-            ring_allreduce_seconds(gradient_bytes(), num_alive(), cfg_.comm);
-        pending_recovery_s += cost;
-        result.recovery_seconds += cost;
-      }
+      opt_.step();
     }
 
     it.max_compute_s = *std::max_element(it.device_compute_s.begin(),
@@ -445,7 +380,6 @@ EpochResult DataParallelTrainer::train_epoch(
 
 void DataParallelTrainer::save_checkpoint(const std::string& path,
                                           index_t next_epoch) const {
-  const auto lead = static_cast<std::size_t>(alive_.front());
   nn::PayloadWriter w;
   w.put_u64(static_cast<std::uint64_t>(cfg_.num_devices));
   w.put_u64(alive_.size());
@@ -456,14 +390,14 @@ void DataParallelTrainer::save_checkpoint(const std::string& path,
   w.put_u64(static_cast<std::uint64_t>(next_epoch));
   std::vector<nn::Section> sections;
   sections.push_back({train::kSectionElastic, w.take()});
-  sections.push_back(train::adam_section(*opts_[lead]));
-  sections.push_back(train::atom_ref_section(*replicas_[lead]));
-  nn::save_parameters(*replicas_[lead], path, sections);
+  sections.push_back(train::adam_section(opt_));
+  sections.push_back(train::atom_ref_section(model_));
+  nn::save_parameters(model_, path, sections);
 }
 
 index_t DataParallelTrainer::resume(const std::string& path) {
   const std::vector<nn::Section> sections =
-      nn::load_checkpoint(*replicas_[0], path);
+      nn::load_checkpoint(model_, path);
   index_t next_epoch = 0;
   {
     nn::PayloadReader r(
@@ -489,24 +423,12 @@ index_t DataParallelTrainer::resume(const std::string& path) {
     next_epoch = static_cast<index_t>(r.get_u64());
     FASTCHG_CHECK(r.done(), "checkpoint: elastic section has trailing bytes");
   }
-  // Weights landed in replica 0; mirror them (and the AtomRef) everywhere,
-  // then give every optimizer the identical restored Adam state -- after
-  // which the survivors are bit-identical, exactly as before the save.
-  train::restore_atom_ref(*replicas_[0],
+  train::restore_atom_ref(model_,
                           train::require_section(sections,
                                                  train::kSectionAtomRef));
-  for (std::size_t d = 1; d < replicas_.size(); ++d) {
-    replicas_[d]->copy_parameters_from(*replicas_[0]);
-    if (replicas_[0]->has_atom_ref()) {
-      replicas_[d]->set_atom_ref(replicas_[0]->atom_ref().to_vector());
-    }
-  }
-  const nn::Section& adam = train::require_section(sections,
-                                                   train::kSectionAdam);
-  for (auto& opt : opts_) {
-    train::restore_adam(*opt, adam);
-    opt->set_lr(lr_);
-  }
+  train::restore_adam(opt_,
+                      train::require_section(sections, train::kSectionAdam));
+  opt_.set_lr(lr_);
   return next_epoch;
 }
 

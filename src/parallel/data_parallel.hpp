@@ -1,14 +1,19 @@
 // Data-parallel training over a virtual GPU cluster.
 //
-// Each virtual device holds a full parameter replica (exactly like DDP).
-// Devices execute their shard sequentially on this machine; the per-device
-// compute is *measured*, the gradient all-reduce is performed for real
-// (tensor averaging across replicas) while its wall time comes from the
-// ring cost model, and the simulated step time is
+// The paper's DDP (Fig. 10) gives each GPU a full parameter replica and
+// keeps the replicas bit-identical by stepping every one of them with the
+// same averaged gradients.  Here the virtual devices run in turn in one
+// process, so identical replicas would only store the same numbers P
+// times: the trainer holds ONE model, ONE Adam and ONE step pool.  Each
+// alive device runs zero_grad -> collate -> forward -> loss -> backward on
+// its own shard under its own timer; its gradients are then added into one
+// sum buffer per parameter in ascending device order.  The all-reduce
+// scales the sum by 1/P and hands it to the optimizer -- the arithmetic
+// NCCL would do, in the same order, so the result is bitwise what P
+// replicas would hold.  The per-device compute is *measured*, the
+// all-reduce wall time comes from the ring cost model, and the simulated
+// step time is
 //     max_d(compute_d) + exposed_allreduce + exposed_h2d.
-// The optimizer then steps every replica with identical averaged gradients,
-// keeping all replicas bit-identical (asserted in tests), which is the DDP
-// invariant.
 //
 // Fault tolerance (see fault.hpp and docs/virtual_cluster.md):
 //   * a FaultPlan can kill devices, slow them down, or degrade the links;
@@ -17,22 +22,17 @@
 //     the sampler, the LR is rescaled per Eq. 14 for the reduced global
 //     batch, and the ring re-form + parameter re-broadcast is charged to
 //     the step time;
-//   * on device join the ring grows back: the lead replica streams its full
-//     state (params + Adam moments + AtomRef) to the joiner through a
-//     fixed-size staging buffer (train::StateStreamer, so a join never
-//     spikes bytes_peak), the unconsumed rows are re-sharded across the
-//     enlarged ring, the LR rescales back up (inverse Eq. 14), and the
-//     broadcast + ring re-form is charged to the step time in its own
-//     `join` trace lane;
-//   * a non-finite loss/gradient guard skips the poisoned step (replicas
-//     skip together, preserving the DDP invariant) and backs off the LR;
-//   * a divergence watchdog re-broadcasts from the lead replica if the
-//     bit-identity invariant is ever violated;
+//   * on device join the ring grows back: the unconsumed rows are
+//     re-sharded across the enlarged ring, the LR rescales back up
+//     (inverse Eq. 14), and the ring re-form plus the full-state broadcast
+//     a real joiner would receive (params + both Adam moments) is charged
+//     to the step time in its own `join` trace lane;
+//   * a non-finite loss/gradient guard skips the poisoned step and backs
+//     off the LR;
 //   * save_checkpoint / resume persist the full training state (weights,
 //     Adam moments, LR, alive set) for bit-identical continuation.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "parallel/bucketing.hpp"
@@ -58,15 +58,9 @@ struct DataParallelConfig {
   bool fit_atom_ref = true;  ///< fit the AtomRef baseline on first epoch
   std::uint64_t seed = 0;
   /// Skip optimizer steps whose loss or averaged gradient is non-finite
-  /// and multiply the LR by `lr_backoff` (replicas skip together).
+  /// and multiply the LR by `lr_backoff`.
   bool guard_nonfinite = true;
   float lr_backoff = 0.5f;
-  /// Replica-divergence watchdog: every N iterations compare the replicas
-  /// elementwise and re-broadcast from the lead replica when the worst
-  /// difference exceeds `divergence_tolerance`.  0 = off (the invariant is
-  /// already asserted in tests; the watchdog is for belt-and-braces runs).
-  index_t divergence_check_every = 0;
-  float divergence_tolerance = 0.0f;
 };
 
 struct IterationTiming {
@@ -90,7 +84,6 @@ struct EpochResult {
   index_t skipped_steps = 0;       ///< non-finite guard activations
   std::vector<int> failed_devices; ///< devices lost this epoch
   std::vector<int> joined_devices; ///< devices that rejoined this epoch
-  index_t rebroadcasts = 0;        ///< divergence-watchdog repairs
   double recovery_seconds = 0.0;   ///< total simulated recovery cost
   double join_seconds = 0.0;       ///< total simulated join cost
 };
@@ -113,25 +106,21 @@ class DataParallelTrainer {
   int num_alive() const { return static_cast<int>(alive_.size()); }
   const std::vector<int>& alive_devices() const { return alive_; }
 
-  const model::CHGNet& replica(int d) const { return *replicas_[d]; }
-  /// Mutable replica access (tests use this to inject divergence).
-  model::CHGNet& replica(int d) { return *replicas_[d]; }
-  /// The lead replica: source of truth for checkpoints and re-broadcasts
-  /// (the first surviving device).
-  model::CHGNet& master() { return *replicas_[static_cast<std::size_t>(alive_.front())]; }
+  /// The one weight set every device trains.
+  model::CHGNet& model() { return model_; }
+  const model::CHGNet& model() const { return model_; }
   float effective_lr() const { return lr_; }
   index_t skipped_steps() const { return skipped_steps_; }
 
-  /// Max elementwise parameter difference across *alive* replicas (DDP
-  /// invariant).
-  float replica_divergence() const;
+  /// Always 0: the devices share one weight set, so they cannot diverge.
+  /// Kept only for bench/e2e's `replica_divergence` row.
+  float replica_divergence() const { return 0.0f; }
 
-  /// Full-state checkpoint of the lead replica: weights, AtomRef, Adam
-  /// moments, LR, guard state, the alive set, and `next_epoch` (the epoch
-  /// a resumed run should pass to train_epoch).  Atomic write.
+  /// Full-state checkpoint: weights, AtomRef, Adam moments, LR, guard
+  /// state, the alive set, and `next_epoch` (the epoch a resumed run should
+  /// pass to train_epoch).  Atomic write.
   void save_checkpoint(const std::string& path, index_t next_epoch) const;
-  /// Restore a checkpoint into all replicas/optimizers; returns the stored
-  /// next_epoch.
+  /// Restore a checkpoint; returns the stored next_epoch.
   index_t resume(const std::string& path);
 
   /// Bytes of gradient traffic per all-reduce (= model size in bytes).
@@ -140,39 +129,35 @@ class DataParallelTrainer {
   /// DDP-style gradient buckets used by the comm-cost accounting.
   int num_gradient_buckets() const { return num_buckets_; }
 
-  /// Device `d`'s memory pool.  Each virtual device owns one PoolAllocator:
-  /// its replica's parameters, per-shard activations and gradients all live
-  /// there, so replicas never contend on a shared free list or recycle each
-  /// other's blocks (isolation is asserted in tests via
-  /// Tensor::source_allocator()).
-  const alloc::AllocatorPtr& device_pool(int d) const {
-    return device_pools_[static_cast<std::size_t>(d)];
-  }
-
   /// Always-empty replay statistics (see perf::ReplayCacheStub).
   perf::ReplayCacheStub replay_cache(int) const { return {}; }
 
  private:
+  /// Add the model's current gradients (one device's shard) into grad_sum_.
+  void accumulate_device_gradients();
+  /// grad_sum_ / P into the model's gradients.
   void all_reduce_gradients();
-  /// Copy the lead replica's parameters over every other survivor.
-  void broadcast_from_master();
   /// Eq. 14 LR for the current ring size, including guard backoff.
   float elastic_lr() const;
   /// Simulated cost of shrinking the ring and re-syncing parameters.
   double recovery_cost_seconds() const;
   /// Simulated cost of re-forming the enlarged ring plus streaming
-  /// `state_bytes` of full replica state lead -> joiner(s).
+  /// `state_bytes` of full training state lead -> joiner(s).
   double join_cost_seconds(std::uint64_t state_bytes) const;
 
   DataParallelConfig cfg_;
   /// Simulated-clock cursor for the trace's per-device timeline lanes
   /// (advances by step_s per iteration, monotone across epochs).
   double sim_trace_cursor_s_ = 0.0;
-  std::vector<std::unique_ptr<model::CHGNet>> replicas_;
-  std::vector<std::unique_ptr<train::Adam>> opts_;
-  std::vector<alloc::AllocatorPtr> device_pools_;  ///< one pool per device
-  std::vector<int> alive_;  ///< device ids still in the ring, ascending
   float lr_;
+  model::CHGNet model_;
+  train::Adam opt_;
+  /// Step arena shared by every device's forward/backward (see
+  /// train::Trainer::step_pool_).
+  alloc::AllocatorPtr step_pool_ = std::make_shared<alloc::PoolAllocator>();
+  /// Per-parameter sum of the alive devices' gradients for this iteration.
+  std::vector<Tensor> grad_sum_;
+  std::vector<int> alive_;  ///< device ids still in the ring, ascending
   float backoff_scale_ = 1.0f;
   index_t skipped_steps_ = 0;
   int num_buckets_ = 1;

@@ -5,7 +5,6 @@
 
 #include "autograd/ops.hpp"
 #include "core/alloc.hpp"
-#include "core/parallel_for.hpp"
 #include "data/graph.hpp"
 #include "perf/counters.hpp"
 #include "perf/trace.hpp"
@@ -137,46 +136,19 @@ std::vector<Result<Prediction>> MicroBatcher::run(
 
   const std::size_t max_batch =
       cfg_.max_batch < 1 ? 1 : static_cast<std::size_t>(cfg_.max_batch);
-  const std::size_t num_mb = (n + max_batch - 1) / max_batch;
 
   // unique_ptr slots because Result has no default construction; every slot
-  // is filled exactly once by the worker owning its micro-batch.
+  // is filled exactly once by the micro-batch that owns it.
   std::vector<std::unique_ptr<Result<Prediction>>> out(n);
-  std::vector<BatchRunStats> per_mb(num_mb);
-
-  const auto serve_mb = [&](std::size_t m) {
-    // Per-worker, per-micro-batch arena: each fused forward (and any
-    // bisection retries) draws from the executing worker's thread pool, so
-    // workers recycle independently and consecutive ticks re-serve the
-    // previous tick's blocks.
-    alloc::ArenaScope arena;
-    const std::size_t lo = m * max_batch;
-    const std::size_t hi = std::min(n, lo + max_batch);
-    ++per_mb[m].micro_batches;
-    serve_span(net, items, lo, hi, out, per_mb[m]);
-  };
-
-  const int workers = std::max(1, cfg_.workers);
-  if (workers == 1 || num_mb == 1) {
-    for (std::size_t m = 0; m < num_mb; ++m) serve_mb(m);
-  } else {
-    // Replica fan-out: at most `workers` micro-batches in flight (grain
-    // bounds the chunk count); each worker writes only its own disjoint
-    // out/per_mb slots.  Kernels inside the forwards run inline per worker
-    // (nested parallel_for), so the fan-out owns the pool.
-    const auto grain = static_cast<index_t>(
-        (num_mb + static_cast<std::size_t>(workers) - 1) /
-        static_cast<std::size_t>(workers));
-    parallel_for(0, static_cast<index_t>(num_mb), std::max<index_t>(1, grain),
-                 [&](index_t mlo, index_t mhi) {
-                   for (index_t m = mlo; m < mhi; ++m) {
-                     serve_mb(static_cast<std::size_t>(m));
-                   }
-                 });
-  }
-
   BatchRunStats total;
-  for (const BatchRunStats& s : per_mb) total.merge(s);
+  for (std::size_t lo = 0; lo < n; lo += max_batch) {
+    // Per-micro-batch arena: each fused forward (and any bisection retries)
+    // draws from the calling thread's pool, so consecutive ticks re-serve
+    // the previous tick's blocks.
+    alloc::ArenaScope arena;
+    ++total.micro_batches;
+    serve_span(net, items, lo, std::min(n, lo + max_batch), out, total);
+  }
   if (stats) *stats = total;
 
   for (std::size_t i = 0; i < n; ++i) {

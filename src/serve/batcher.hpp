@@ -9,11 +9,9 @@
 // are bit-identical to N individual forwards), and unpacks per-structure
 // energy/forces/stress/magmom replies.
 //
-// Replica workers: independent micro-batches execute concurrently on the
-// core parallel_for pool (`workers` bounds the fan-out).  Tensor kernels
-// inside a worker's forward degrade to inline execution (see
-// core/parallel_for.hpp nesting rules), so the fan-out owns the pool and
-// results stay deterministic.
+// More than `max_batch` items run as consecutive micro-batches on the
+// calling thread; tensor kernels inside each forward use the parallel_for
+// pool as usual.
 //
 // Fault isolation: a numeric-watchdog trip on a fused batch bisects it --
 // the halves are re-collated and re-run until the poisoned structure is
@@ -44,26 +42,18 @@ struct BatchItem {
   std::size_t request_id = 0;  ///< caller-side id (labels, test seams)
 };
 
-/// Per-run tallies (merged across workers after the join).
+/// Per-run tallies.
 struct BatchRunStats {
   std::uint64_t micro_batches = 0;   ///< fused forwards dispatched
   std::uint64_t served = 0;          ///< structures unpacked successfully
   std::uint64_t bisections = 0;      ///< watchdog-tripped batch splits
   std::uint64_t isolated_faults = 0; ///< size-1 kNumericFault replies
-
-  void merge(const BatchRunStats& o) {
-    micro_batches += o.micro_batches;
-    served += o.served;
-    bisections += o.bisections;
-    isolated_faults += o.isolated_faults;
-  }
 };
 
 class MicroBatcher {
  public:
   struct Config {
     index_t max_batch = 8;  ///< structures fused per forward (>= 1)
-    int workers = 1;        ///< max concurrently executing micro-batches
     /// Fault-injection seam (tests/benches): mutate the collated batch
     /// before its forward.  Receives the request_ids of the structures in
     /// the (sub-)batch, in structure order, so a poison can follow one

@@ -16,7 +16,6 @@ InferenceEngine::InferenceEngine(const model::CHGNet& net, EngineConfig cfg)
       batcher_([&] {
         MicroBatcher::Config bc;
         bc.max_batch = cfg.max_batch < 1 ? index_t{1} : cfg.max_batch;
-        bc.workers = cfg.batch_workers;
         bc.corrupt_batch = cfg.corrupt_batch;
         return bc;
       }()) {

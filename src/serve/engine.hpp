@@ -13,11 +13,10 @@
 //
 // The queued path (`submit` + `drain`) is dynamically micro-batched: each
 // tick drains up to `max_batch` admitted requests into one disjoint-union
-// data::Batch and runs a single fused forward (serve/batcher.hpp), with
-// independent micro-batches fanned out across `batch_workers` replica
-// workers.  A numeric fault inside a fused batch is bisected so only the
-// poisoned request fails.  `predict` stays the synchronous single-request
-// path (also the reference the equivalence tests compare against).
+// data::Batch and runs a single fused forward (serve/batcher.hpp).  A
+// numeric fault inside a fused batch is bisected so only the poisoned
+// request fails.  `predict` stays the synchronous single-request path
+// (also the reference the equivalence tests compare against).
 //
 // Transient device faults are injected through parallel::FaultInjector so
 // serving robustness is testable under the same seeded FaultPlans as the
@@ -59,7 +58,6 @@ struct EngineConfig {
 
   // Dynamic micro-batching (queued path).
   index_t max_batch = 8;   ///< structures fused per forward tick (>= 1)
-  int batch_workers = 1;   ///< max concurrently executing micro-batches
 
   // Retry policy for injected transient device faults.
   int max_retries = 3;

@@ -28,12 +28,6 @@ class Adam {
   /// Restore moments and the bias-correction step count saved from another
   /// Adam over a structurally identical parameter list.
   void restore_state(std::vector<Tensor> m, std::vector<Tensor> v, index_t t);
-  /// Mutable moment access for the elastic join's in-place state streaming
-  /// (the broadcast copies chunk-by-chunk into the existing tensors, so no
-  /// model-sized staging buffer is ever allocated).
-  std::vector<Tensor>& exp_avg_mut() { return m_; }
-  std::vector<Tensor>& exp_avg_sq_mut() { return v_; }
-  void set_step_count(index_t t) { t_ = t; }
 
  private:
   std::vector<Var> params_;

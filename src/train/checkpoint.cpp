@@ -81,60 +81,4 @@ void restore_rng(Rng& rng, const nn::Section& s) {
   FASTCHG_CHECK(r.done(), "checkpoint: rng section has trailing bytes");
 }
 
-StateStreamer::StateStreamer(std::size_t chunk_bytes) {
-  const std::size_t elems =
-      std::max<std::size_t>(1, chunk_bytes / sizeof(float));
-  staging_ = Tensor::zeros({static_cast<index_t>(elems)});
-}
-
-std::uint64_t StateStreamer::stream(const Tensor& src, Tensor& dst) {
-  FASTCHG_CHECK(same_shape(src.shape(), dst.shape()),
-                "StateStreamer: shape mismatch " << shape_str(src.shape())
-                                                 << " vs "
-                                                 << shape_str(dst.shape()));
-  const index_t chunk = staging_.numel();
-  const float* s = src.data();
-  float* wire = staging_.data();
-  float* d = dst.data();
-  for (index_t off = 0; off < src.numel(); off += chunk) {
-    const index_t n = std::min(chunk, src.numel() - off);
-    // "Send" into the bounded wire buffer, then "receive" on the joiner:
-    // the staging tensor is the only extra memory the broadcast ever holds.
-    std::copy(s + off, s + off + n, wire);
-    std::copy(wire, wire + n, d + off);
-  }
-  const auto bytes = static_cast<std::uint64_t>(src.numel()) * sizeof(float);
-  bytes_streamed_ += bytes;
-  return bytes;
-}
-
-std::uint64_t broadcast_state(const model::CHGNet& src, const Adam& src_opt,
-                              model::CHGNet& dst, Adam& dst_opt,
-                              StateStreamer& streamer) {
-  std::uint64_t bytes = 0;
-  auto sp = src.parameters();
-  auto dp = dst.parameters();
-  FASTCHG_CHECK(sp.size() == dp.size(),
-                "broadcast_state: parameter count mismatch");
-  for (std::size_t i = 0; i < sp.size(); ++i) {
-    bytes += streamer.stream(sp[i].value(), dp[i].node()->value);
-  }
-  const auto& sm = src_opt.exp_avg();
-  const auto& sv = src_opt.exp_avg_sq();
-  auto& dm = dst_opt.exp_avg_mut();
-  auto& dv = dst_opt.exp_avg_sq_mut();
-  FASTCHG_CHECK(sm.size() == dm.size() && sv.size() == dv.size(),
-                "broadcast_state: moment count mismatch");
-  for (std::size_t i = 0; i < sm.size(); ++i) {
-    bytes += streamer.stream(sm[i], dm[i]);
-  }
-  for (std::size_t i = 0; i < sv.size(); ++i) {
-    bytes += streamer.stream(sv[i], dv[i]);
-  }
-  dst_opt.set_step_count(src_opt.step_count());
-  dst_opt.set_lr(src_opt.lr());
-  if (src.has_atom_ref()) dst.set_atom_ref(src.atom_ref().to_vector());
-  return bytes;
-}
-
 }  // namespace fastchg::train

@@ -45,38 +45,4 @@ void restore_atom_ref(model::CHGNet& net, const nn::Section& s);
 nn::Section rng_section(const std::string& name, const Rng& rng);
 void restore_rng(Rng& rng, const nn::Section& s);
 
-/// Chunked state streaming for the elastic-join full-state broadcast.
-///
-/// Copies tensor state source -> destination through ONE fixed-size staging
-/// tensor (default 64 KiB) allocated at construction, so broadcasting a full
-/// replica (params + both Adam moments) never materializes a model-sized
-/// buffer and the tracked `bytes_peak` stays flat during joins.  The staging
-/// block models the bounded pipeline buffer a real NCCL broadcast streams
-/// through.
-class StateStreamer {
- public:
-  explicit StateStreamer(std::size_t chunk_bytes = 64 * 1024);
-
-  /// Chunked elementwise copy (shapes must match); returns bytes streamed.
-  std::uint64_t stream(const Tensor& src, Tensor& dst);
-
-  std::uint64_t bytes_streamed() const { return bytes_streamed_; }
-  std::size_t chunk_bytes() const {
-    return static_cast<std::size_t>(staging_.numel()) * sizeof(float);
-  }
-
- private:
-  Tensor staging_;
-  std::uint64_t bytes_streamed_ = 0;
-};
-
-/// Full-state broadcast lead -> joiner for the elastic join protocol:
-/// parameters, both Adam moments (+ bias-correction step count and LR), and
-/// the AtomRef table, all streamed chunk-by-chunk.  After it returns the
-/// joiner is bit-identical to the lead replica.  Returns the total bytes
-/// streamed (the payload the join cost model charges to simulated time).
-std::uint64_t broadcast_state(const model::CHGNet& src, const Adam& src_opt,
-                              model::CHGNet& dst, Adam& dst_opt,
-                              StateStreamer& streamer);
-
 }  // namespace fastchg::train

@@ -76,6 +76,19 @@ TEST(Cli, UnknownCommandFailsWithUsage) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
+// A flag the subcommand does not read is an error, not silently ignored:
+// usage text naming the flag, exit code 2.
+TEST(Cli, UnknownFlagFailsWithUsage) {
+  for (const std::string flag : {"--shards 4", "--batch-workers 2"}) {
+    CliResult r = run_cli("serve " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << flag;
+    const std::string name = flag.substr(0, flag.find(' '));
+    EXPECT_NE(r.output.find("unknown flag " + name), std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(Cli, BadCrystalNameFailsCleanly) {
   CliResult r = run_cli("md --crystal NotACrystal --steps 1");
   EXPECT_EQ(r.exit_code, 2);  // fastchg::Error path

@@ -6,8 +6,6 @@
 //     after each serve engine tick -- pooling recycles physical blocks, so
 //     without this check a retained-graph leak would hide inside warm
 //     slabs;
-//   * cross-device pool isolation in DataParallelTrainer (every replica
-//     tensor attributed to its own device pool);
 //   * pool-on == pool-off bit-exactness (max |diff| = 0.0) for a train
 //     step, a dp step, and a fused serve forward: the allocator changes
 //     where bytes live, never their values.
@@ -116,37 +114,6 @@ TEST_F(MemoryArenaTest, ServeTickLiveBytesReturnToBaseline) {
   }
 }
 
-TEST_F(MemoryArenaTest, DataParallelDevicePoolsAreIsolated) {
-  alloc::set_pooling_enabled(true);
-  parallel::DataParallelConfig cfg;
-  cfg.num_devices = 3;
-  cfg.global_batch = 6;
-  parallel::DataParallelTrainer dp(tiny_config(), cfg, 11);
-
-  for (int d = 0; d < cfg.num_devices; ++d) {
-    const alloc::Allocator* pool = dp.device_pool(d).get();
-    for (const ag::Var& p : dp.replica(d).parameters()) {
-      EXPECT_EQ(p.value().source_allocator(), pool)
-          << "device " << d << " parameter not in its own pool";
-    }
-    for (int other = 0; other < cfg.num_devices; ++other) {
-      if (other == d) continue;
-      EXPECT_NE(pool, dp.device_pool(other).get());
-    }
-  }
-
-  // After a training epoch the invariant still holds: per-device arenas
-  // never let a replica's tensors migrate into a sibling's pool.
-  data::Dataset ds = small_dataset(12, 13);
-  dp.train_epoch(ds, all_rows(ds), 0);
-  for (int d = 0; d < cfg.num_devices; ++d) {
-    const alloc::Allocator* pool = dp.device_pool(d).get();
-    for (const ag::Var& p : dp.replica(d).parameters()) {
-      EXPECT_EQ(p.value().source_allocator(), pool);
-    }
-  }
-}
-
 std::vector<float> flatten_parameters(const model::CHGNet& net) {
   std::vector<float> flat;
   for (const ag::Var& p : net.parameters()) {
@@ -193,7 +160,7 @@ std::vector<float> dp_train_with_pooling(bool pooled) {
   cfg.global_batch = 8;
   parallel::DataParallelTrainer dp(tiny_config(), cfg, 17);
   dp.train_epoch(ds, all_rows(ds), 0);
-  return flatten_parameters(dp.master());
+  return flatten_parameters(dp.model());
 }
 
 TEST_F(MemoryArenaTest, DataParallelStepBitExactPoolOnVsOff) {

@@ -3,7 +3,7 @@
 //
 //   * property test: fused multi-request forwards reproduce single-request
 //     forwards (E/F/S/magmom within 1e-10) for seeded random crystals,
-//     across kernel thread counts and replica-worker fan-outs;
+//     across kernel thread counts;
 //   * poisoned-batch isolation: one NaN structure in a fused batch yields
 //     kNumericFault for exactly that request via bisection;
 //   * fuzz: hundreds of corrupted crystals plus an injected fault plan
@@ -89,8 +89,8 @@ void expect_equivalent(const Prediction& got, const Prediction& want,
 // The central property the whole pipeline rests on: a structure served out
 // of a fused disjoint-union forward is equivalent (<= 1e-10, in practice
 // bit-identical) to the same structure served alone -- for every fused
-// position, worker fan-out, and kernel thread count.
-TEST(BatchEquivalence, FusedMatchesSingleAcrossThreadsAndWorkers) {
+// position and kernel thread count.
+TEST(BatchEquivalence, FusedMatchesSingleAcrossThreads) {
   const int restore_threads = num_threads();
   model::CHGNet net(tiny_config(), 7);
   data::GraphConfig gcfg;
@@ -109,23 +109,19 @@ TEST(BatchEquivalence, FusedMatchesSingleAcrossThreadsAndWorkers) {
     for (const data::Crystal& c : crystals) {
       singles.push_back(single_forward(net, c, gcfg));
     }
-    for (int workers : {1, 3}) {
-      MicroBatcher::Config bc;
-      bc.max_batch = 4;  // 11 items -> micro-batches of 4, 4, 3
-      bc.workers = workers;
-      BatchRunStats stats;
-      auto replies = MicroBatcher(bc).run(net, items, &stats);
-      ASSERT_EQ(replies.size(), crystals.size());
-      EXPECT_EQ(stats.micro_batches, 3u);
-      EXPECT_EQ(stats.served, crystals.size());
-      EXPECT_EQ(stats.bisections, 0u);
-      for (std::size_t i = 0; i < replies.size(); ++i) {
-        ASSERT_TRUE(replies[i].ok()) << replies[i].error().message;
-        std::ostringstream what;
-        what << "threads=" << threads << " workers=" << workers
-             << " struct=" << i;
-        expect_equivalent(replies[i].value(), singles[i], what.str());
-      }
+    MicroBatcher::Config bc;
+    bc.max_batch = 4;  // 11 items -> micro-batches of 4, 4, 3
+    BatchRunStats stats;
+    auto replies = MicroBatcher(bc).run(net, items, &stats);
+    ASSERT_EQ(replies.size(), crystals.size());
+    EXPECT_EQ(stats.micro_batches, 3u);
+    EXPECT_EQ(stats.served, crystals.size());
+    EXPECT_EQ(stats.bisections, 0u);
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      ASSERT_TRUE(replies[i].ok()) << replies[i].error().message;
+      std::ostringstream what;
+      what << "threads=" << threads << " struct=" << i;
+      expect_equivalent(replies[i].value(), singles[i], what.str());
     }
   }
   set_num_threads(restore_threads);
@@ -140,7 +136,6 @@ TEST(BatchEquivalence, EngineDrainMatchesPredict) {
   for (const index_t max_batch : {index_t{8}, index_t{1}}) {
     EngineConfig cfg;
     cfg.max_batch = max_batch;
-    cfg.batch_workers = 2;
     cfg.queue_capacity = 32;
     InferenceEngine batched(net, cfg);
 
@@ -263,7 +258,6 @@ TEST(BatchFuzz, CorruptedStreamStaysTyped) {
   model::CHGNet net(tiny_config(false), 23);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.batch_workers = 2;
   cfg.queue_capacity = 8;
   InferenceEngine eng(net, cfg);
   parallel::FaultPlan plan = parallel::FaultPlan::random(

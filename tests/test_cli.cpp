@@ -4,8 +4,11 @@
 // The binary path is injected by CMake as FASTCHG_CLI_PATH.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 namespace {
@@ -87,6 +90,24 @@ TEST(Cli, UnknownFlagFailsWithUsage) {
     EXPECT_NE(r.output.find("unknown flag " + name), std::string::npos)
         << r.output;
   }
+}
+
+// `trace <target>` checks the target's flags plus its own before running
+// anything: an unknown flag exits 2 with usage and writes no trace file.
+TEST(Cli, TraceUnknownFlagFailsBeforeRunning) {
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() /
+      ("fastchg_cli_trace_reject_" + std::to_string(::getpid()) + ".json");
+  std::filesystem::remove(out);
+  CliResult r = run_cli("trace dp --devices 2 --bogus 1 --trace-out " +
+                        out.string());
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("unknown flag --bogus for 'trace dp'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_FALSE(std::filesystem::exists(out));
+  std::filesystem::remove(out);
 }
 
 TEST(Cli, BadCrystalNameFailsCleanly) {

@@ -3,9 +3,11 @@
 //
 //   * leak sentinels: tracked *logical* live bytes return exactly to the
 //     pre-step baseline after backward() + releasing the loss Var, and
-//     after each serve engine tick -- pooling recycles physical blocks, so
-//     without this check a retained-graph leak would hide inside warm
-//     slabs;
+//     after each serve engine tick and each data-parallel epoch -- pooling
+//     recycles physical blocks, so without this check a retained-graph
+//     leak would hide inside warm slabs;
+//   * the data-parallel trainer's persistent tensor state is the same for
+//     one device and four (one weight set, one optimizer, one gradient sum);
 //   * pool-on == pool-off bit-exactness (max |diff| = 0.0) for a train
 //     step, a dp step, and a fused serve forward: the allocator changes
 //     where bytes live, never their values.
@@ -112,6 +114,51 @@ TEST_F(MemoryArenaTest, ServeTickLiveBytesReturnToBaseline) {
     EXPECT_EQ(perf::counters().snapshot().bytes_live, baseline)
         << "serve tick " << tick << " retained tensor storage";
   }
+}
+
+// Leak sentinel for the data-parallel step: every device's shard graph,
+// batch and activations die inside its step arena, and the gradient sum is
+// reused across iterations, so logical live bytes after an epoch return to
+// the post-warm-up baseline.
+TEST_F(MemoryArenaTest, DataParallelEpochLiveBytesReturnToBaseline) {
+  alloc::set_pooling_enabled(true);
+  data::Dataset ds = small_dataset(12, 13);
+  const std::vector<index_t> rows = all_rows(ds);
+  parallel::DataParallelConfig cfg;
+  cfg.num_devices = 3;
+  cfg.global_batch = 6;
+  parallel::DataParallelTrainer dp(tiny_config(), cfg, 11);
+  // Warm-up epoch materializes the lazy state (leaf gradients, Adam moments).
+  dp.train_epoch(ds, rows, 0);
+
+  const std::uint64_t baseline = perf::counters().snapshot().bytes_live;
+  for (index_t epoch = 1; epoch < 3; ++epoch) {
+    dp.train_epoch(ds, rows, epoch);
+    EXPECT_EQ(perf::counters().snapshot().bytes_live, baseline)
+        << "dp epoch " << epoch << " retained tensor storage";
+  }
+}
+
+// The devices share one weight set, one optimizer and one gradient-sum
+// buffer, so the trainer's persistent tensor state is the same whether it
+// simulates one device or four.
+TEST_F(MemoryArenaTest, DataParallelStateDoesNotScaleWithDevices) {
+  alloc::set_pooling_enabled(true);
+  data::Dataset ds = small_dataset(16, 19);
+  const std::vector<index_t> rows = all_rows(ds);
+  auto held_bytes = [&](int devices) {
+    const std::uint64_t before = perf::counters().snapshot().bytes_live;
+    parallel::DataParallelConfig cfg;
+    cfg.num_devices = devices;
+    cfg.global_batch = 8;
+    parallel::DataParallelTrainer dp(tiny_config(), cfg, 23);
+    dp.train_epoch(ds, rows, 0);
+    return perf::counters().snapshot().bytes_live - before;
+  };
+  const std::uint64_t one = held_bytes(1);
+  const std::uint64_t four = held_bytes(4);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(four, one);
 }
 
 std::vector<float> flatten_parameters(const model::CHGNet& net) {

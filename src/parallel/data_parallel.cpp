@@ -1,9 +1,7 @@
 #include "parallel/data_parallel.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "autograd/ops.hpp"
 #include "perf/timer.hpp"
 #include "perf/trace.hpp"
 #include "train/atom_ref.hpp"
@@ -14,12 +12,7 @@ namespace fastchg::parallel {
 DataParallelTrainer::DataParallelTrainer(const model::ModelConfig& mcfg,
                                          const DataParallelConfig& cfg,
                                          std::uint64_t model_seed)
-    : cfg_(cfg),
-      lr_(cfg.scale_lr
-              ? train::scaled_init_lr(cfg.global_batch, cfg.lr_k, cfg.base_lr)
-              : cfg.base_lr),
-      model_(mcfg, model_seed),
-      opt_(model_.parameters(), lr_) {
+    : cfg_(cfg), model_(mcfg, model_seed), opt_(model_.parameters()) {
   FASTCHG_CHECK(cfg.num_devices >= 1, "DataParallelTrainer: devices");
   FASTCHG_CHECK(cfg.global_batch % cfg.num_devices == 0,
                 "DataParallelTrainer: global batch "
@@ -28,6 +21,7 @@ DataParallelTrainer::DataParallelTrainer(const model::ModelConfig& mcfg,
                     << " devices (elastic recovery keeps the per-device "
                        "batch fixed)");
   for (int d = 0; d < cfg.num_devices; ++d) alive_.push_back(d);
+  rescale_lr();
   const std::vector<ag::Var> params = model_.parameters();
   for (const ag::Var& p : params) grad_sum_.push_back(Tensor::zeros(p.shape()));
   // DDP-style 64 KiB gradient buckets determine the all-reduce call count
@@ -40,14 +34,14 @@ std::uint64_t DataParallelTrainer::gradient_bytes() const {
   return tensor_bytes(model_.num_parameters());
 }
 
-float DataParallelTrainer::elastic_lr() const {
+void DataParallelTrainer::rescale_lr() {
   const index_t per_device = cfg_.global_batch / cfg_.num_devices;
   const index_t global = per_device * static_cast<index_t>(alive_.size());
   const float base = cfg_.scale_lr
                          ? train::scaled_init_lr(global, cfg_.lr_k,
                                                  cfg_.base_lr)
                          : cfg_.base_lr;
-  return base * backoff_scale_;
+  opt_.set_lr(base * guard_.backoff_scale);
 }
 
 double DataParallelTrainer::join_cost_seconds(
@@ -179,8 +173,7 @@ EpochResult DataParallelTrainer::train_epoch(
                     "DataParallelTrainer: every device failed at iteration "
                         << iter << " of epoch " << epoch);
       const std::vector<index_t> remaining = collect_remaining();
-      lr_ = elastic_lr();
-      opt_.set_lr(lr_);
+      rescale_lr();
       const double reform = recovery_cost_seconds();
       pending_recovery_s += reform;
       result.recovery_seconds += reform;
@@ -209,8 +202,7 @@ EpochResult DataParallelTrainer::train_epoch(
         result.joined_devices.push_back(d);
       }
       std::sort(alive_.begin(), alive_.end());
-      lr_ = elastic_lr();
-      opt_.set_lr(lr_);
+      rescale_lr();
       const double cost =
           join_cost_seconds(3 * gradient_bytes() * joined.size());
       pending_join_s += cost;
@@ -226,6 +218,8 @@ EpochResult DataParallelTrainer::train_epoch(
     it.device_compute_s.resize(shards.size());
     std::uint64_t max_bytes = 0;
     bool finite = true;
+    const double loss_sum_before = loss_sum;
+    const index_t loss_count_before = loss_count;
     for (Tensor& sum : grad_sum_) sum.fill_(0.0f);
     for (std::size_t d = 0; d < shards.size(); ++d) {
       perf::TraceSpan span_dev("dp.device_compute", "dp");
@@ -235,51 +229,34 @@ EpochResult DataParallelTrainer::train_epoch(
       alloc::ArenaScope arena(step_pool_);
       data::Batch b = data::collate_indices(ds, shards[d]);
       model_.zero_grad();
-
-      float loss_value = 0.0f;
-      {
-        // The shard's graph tears down inside the timed device compute.
-        model::ModelOutput out =
-            model_.forward(b, model::ForwardMode::kTrain);
-        train::LossResult loss =
-            train::chgnet_loss(out, b, cfg_.weights, cfg_.huber_delta);
-        loss_value = loss.total.item();
-        if (std::isfinite(loss_value) || !cfg_.guard_nonfinite) {
-          ag::backward(loss.total);
-        }
-      }
-
-      const bool dev_finite = std::isfinite(loss_value);
-      if (dev_finite || !cfg_.guard_nonfinite) {
-        // With the guard off this preserves the unguarded semantics exactly
-        // (backward + stats even for a poisoned loss).
-        loss_sum += loss_value;
-        ++loss_count;
-      }
-      finite = finite && dev_finite;
+      // The shard's graph tears down inside train_step, so inside the
+      // timed device compute.
+      const train::StepLoss loss = train::train_step(model_, b);
+      loss_sum += loss.total;
+      ++loss_count;
+      finite = finite && loss.finite;
       it.device_compute_s[d] =
           t.seconds() * inj.compute_multiplier(alive_[d], iter);
       max_bytes = std::max(max_bytes, shard_bytes(ds, shards[d]));
       accumulate_device_gradients();
     }
 
-    if (finite || !cfg_.guard_nonfinite) {
+    if (finite) {
       perf::TraceSpan span_ar("dp.allreduce", "dp");
       all_reduce_gradients();
-      if (cfg_.guard_nonfinite) {
-        // A finite loss can still overflow in backward; check the averaged
-        // gradient once.
-        finite = train::gradients_finite(model_.parameters());
-      }
+      // A finite loss can still overflow in backward; check the averaged
+      // gradient once.
+      finite = train::gradients_finite(model_.parameters());
     }
-    if (cfg_.guard_nonfinite && !finite) {
-      // Guard: skip this step and back off the LR for the rest of the run.
+    if (!finite) {
+      // Guard: skip this step, leave its losses out of the epoch mean, and
+      // back off the LR for the rest of the run.
       model_.zero_grad();
-      backoff_scale_ *= cfg_.lr_backoff;
-      lr_ = elastic_lr();
-      opt_.set_lr(lr_);
+      guard_.trip();
+      rescale_lr();
       ++result.skipped_steps;
-      ++skipped_steps_;
+      loss_sum = loss_sum_before;
+      loss_count = loss_count_before;
     } else {
       perf::TraceSpan span_opt("dp.optimizer", "dp");
       opt_.step();
@@ -384,9 +361,8 @@ void DataParallelTrainer::save_checkpoint(const std::string& path,
   w.put_u64(static_cast<std::uint64_t>(cfg_.num_devices));
   w.put_u64(alive_.size());
   for (int d : alive_) w.put_u64(static_cast<std::uint64_t>(d));
-  w.put_f32(lr_);
-  w.put_f32(backoff_scale_);
-  w.put_u64(static_cast<std::uint64_t>(skipped_steps_));
+  w.put_f32(opt_.lr());
+  train::put_guard(w, guard_);
   w.put_u64(static_cast<std::uint64_t>(next_epoch));
   std::vector<nn::Section> sections;
   sections.push_back({train::kSectionElastic, w.take()});
@@ -417,9 +393,8 @@ index_t DataParallelTrainer::resume(const std::string& path) {
                     "checkpoint: alive device " << d << " out of range");
       alive_.push_back(d);
     }
-    lr_ = r.get_f32();
-    backoff_scale_ = r.get_f32();
-    skipped_steps_ = static_cast<index_t>(r.get_u64());
+    r.get_f32();  // the LR; restore_adam below restores the same value
+    guard_ = train::get_guard(r);
     next_epoch = static_cast<index_t>(r.get_u64());
     FASTCHG_CHECK(r.done(), "checkpoint: elastic section has trailing bytes");
   }
@@ -428,7 +403,6 @@ index_t DataParallelTrainer::resume(const std::string& path) {
                                                  train::kSectionAtomRef));
   train::restore_adam(opt_,
                       train::require_section(sections, train::kSectionAdam));
-  opt_.set_lr(lr_);
   return next_epoch;
 }
 

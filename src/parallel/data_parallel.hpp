@@ -5,12 +5,12 @@
 // same averaged gradients.  Here the virtual devices run in turn in one
 // process, so identical replicas would only store the same numbers P
 // times: the trainer holds ONE model, ONE Adam and ONE step pool.  Each
-// alive device runs zero_grad -> collate -> forward -> loss -> backward on
-// its own shard under its own timer; its gradients are then added into one
-// sum buffer per parameter in ascending device order.  The all-reduce
-// scales the sum by 1/P and hands it to the optimizer -- the arithmetic
-// NCCL would do, in the same order, so the result is bitwise what P
-// replicas would hold.  The per-device compute is *measured*, the
+// alive device runs collate -> zero_grad -> train::train_step (the
+// single-device step) on its shard under its own timer; its gradients are
+// then added into one sum buffer per parameter in ascending device order.
+// The all-reduce scales the sum by 1/P and hands it to the optimizer -- the
+// arithmetic NCCL would do, in the same order, so the result is bitwise
+// what P replicas would hold.  The per-device compute is *measured*, the
 // all-reduce wall time comes from the ring cost model, and the simulated
 // step time is
 //     max_d(compute_d) + exposed_allreduce + exposed_h2d.
@@ -27,8 +27,8 @@
 //     (inverse Eq. 14), and the ring re-form plus the full-state broadcast
 //     a real joiner would receive (params + both Adam moments) is charged
 //     to the step time in its own `join` trace lane;
-//   * a non-finite loss/gradient guard skips the poisoned step and backs
-//     off the LR;
+//   * the non-finite guard shared with train::Trainer skips the poisoned
+//     step and halves the LR;
 //   * save_checkpoint / resume persist the full training state (weights,
 //     Adam moments, LR, alive set) for bit-identical continuation.
 #pragma once
@@ -53,14 +53,8 @@ struct DataParallelConfig {
   float base_lr = 3e-4f;
   bool scale_lr = true;       ///< Eq. 14 on the *global* batch
   index_t lr_k = 128;
-  train::LossWeights weights;
-  float huber_delta = 0.1f;
   bool fit_atom_ref = true;  ///< fit the AtomRef baseline on first epoch
   std::uint64_t seed = 0;
-  /// Skip optimizer steps whose loss or averaged gradient is non-finite
-  /// and multiply the LR by `lr_backoff`.
-  bool guard_nonfinite = true;
-  float lr_backoff = 0.5f;
 };
 
 struct IterationTiming {
@@ -79,7 +73,7 @@ struct IterationTiming {
 struct EpochResult {
   double simulated_seconds = 0.0;  ///< sum of step_s (virtual cluster)
   double measured_seconds = 0.0;   ///< actual wall time on this machine
-  double mean_loss = 0.0;
+  double mean_loss = 0.0;          ///< over the steps the guard applied
   std::vector<IterationTiming> iterations;
   index_t skipped_steps = 0;       ///< non-finite guard activations
   std::vector<int> failed_devices; ///< devices lost this epoch
@@ -109,8 +103,8 @@ class DataParallelTrainer {
   /// The one weight set every device trains.
   model::CHGNet& model() { return model_; }
   const model::CHGNet& model() const { return model_; }
-  float effective_lr() const { return lr_; }
-  index_t skipped_steps() const { return skipped_steps_; }
+  float effective_lr() const { return opt_.lr(); }
+  const train::NonFiniteGuard& guard() const { return guard_; }
 
   /// Always 0: the devices share one weight set, so they cannot diverge.
   /// Kept only for bench/e2e's `replica_divergence` row.
@@ -137,8 +131,8 @@ class DataParallelTrainer {
   void accumulate_device_gradients();
   /// grad_sum_ / P into the model's gradients.
   void all_reduce_gradients();
-  /// Eq. 14 LR for the current ring size, including guard backoff.
-  float elastic_lr() const;
+  /// Set the Eq.-14 LR for the current ring size, including guard backoff.
+  void rescale_lr();
   /// Simulated cost of shrinking the ring and re-syncing parameters.
   double recovery_cost_seconds() const;
   /// Simulated cost of re-forming the enlarged ring plus streaming
@@ -149,7 +143,6 @@ class DataParallelTrainer {
   /// Simulated-clock cursor for the trace's per-device timeline lanes
   /// (advances by step_s per iteration, monotone across epochs).
   double sim_trace_cursor_s_ = 0.0;
-  float lr_;
   model::CHGNet model_;
   train::Adam opt_;
   /// Step arena shared by every device's forward/backward (see
@@ -158,8 +151,7 @@ class DataParallelTrainer {
   /// Per-parameter sum of the alive devices' gradients for this iteration.
   std::vector<Tensor> grad_sum_;
   std::vector<int> alive_;  ///< device ids still in the ring, ascending
-  float backoff_scale_ = 1.0f;
-  index_t skipped_steps_ = 0;
+  train::NonFiniteGuard guard_;
   int num_buckets_ = 1;
 };
 

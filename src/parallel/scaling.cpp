@@ -4,9 +4,8 @@
 #include <array>
 #include <cmath>
 
-#include "autograd/ops.hpp"
 #include "perf/timer.hpp"
-#include "train/loss.hpp"
+#include "train/trainer.hpp"
 
 namespace fastchg::parallel {
 
@@ -67,7 +66,6 @@ CostModel calibrate_cost_model(const model::CHGNet& net,
   Rng rng(seed);
   std::array<std::array<double, 4>, 4> xtx{};
   std::array<double, 4> xty{};
-  train::LossWeights weights;
   for (index_t bs : batch_sizes) {
     for (int rep = 0; rep < reps_per_size; ++rep) {
       std::vector<index_t> rows;
@@ -77,9 +75,7 @@ CostModel calibrate_cost_model(const model::CHGNet& net,
       }
       data::Batch b = data::collate_indices(ds, rows);
       perf::Timer t;
-      model::ModelOutput out = net.forward(b, model::ForwardMode::kTrain);
-      train::LossResult loss = train::chgnet_loss(out, b, weights);
-      ag::backward(loss.total);
+      train::train_step(net, b);
       const double secs = t.seconds();
       const std::array<double, 4> feat = {
           1.0, static_cast<double>(b.num_atoms),

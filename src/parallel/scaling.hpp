@@ -30,8 +30,9 @@ struct CostModel {
                        const std::vector<index_t>& rows) const;
 };
 
-/// Fit the cost model by measuring real fwd+bwd+loss iterations of `net` on
-/// randomly drawn batches of the given sizes (least squares).
+/// Fit the cost model by timing train::train_step (forward, loss, backward,
+/// graph teardown) of `net` on randomly drawn batches of the given sizes
+/// (least squares).
 CostModel calibrate_cost_model(const model::CHGNet& net,
                                const data::Dataset& ds,
                                const std::vector<index_t>& batch_sizes,

@@ -49,6 +49,9 @@ std::vector<float> fit_atom_ref(const data::Dataset& ds,
   std::vector<double> frac(ns, 0.0);
   for (index_t row : rows) {
     const data::Crystal& c = ds[row].crystal;
+    // A NaN/Inf label would poison every species the normal equations
+    // couple it to.
+    if (!std::isfinite(c.energy)) continue;
     std::fill(frac.begin(), frac.end(), 0.0);
     const double inv_n = 1.0 / static_cast<double>(c.natoms());
     for (index_t z : c.species) {

@@ -15,7 +15,8 @@ namespace fastchg::train {
 
 /// Fit reference energies over the given dataset rows.  Returns a
 /// [num_species + 1]-sized vector indexed by atomic number (index 0 unused).
-/// `ridge` regularizes species that occur rarely.
+/// `ridge` regularizes species that occur rarely.  Rows whose energy label
+/// is NaN/Inf are left out of the fit.
 std::vector<float> fit_atom_ref(const data::Dataset& ds,
                                 const std::vector<index_t>& rows,
                                 index_t num_species, double ridge = 1e-3);

@@ -1,6 +1,7 @@
 #include "train/checkpoint.hpp"
 
 #include "core/error.hpp"
+#include "train/trainer.hpp"
 
 namespace fastchg::train {
 
@@ -67,6 +68,16 @@ void restore_atom_ref(model::CHGNet& net, const nn::Section& s) {
   const Tensor t = r.get_tensor();
   FASTCHG_CHECK(r.done(), "checkpoint: atom_ref section has trailing bytes");
   net.set_atom_ref(t.to_vector());
+}
+
+void put_guard(nn::PayloadWriter& w, const NonFiniteGuard& g) {
+  w.put_f32(g.backoff_scale);
+  w.put_u64(static_cast<std::uint64_t>(g.skipped_steps));
+}
+
+NonFiniteGuard get_guard(nn::PayloadReader& r) {
+  // Braced initializers are evaluated in order: f32, then u64.
+  return {r.get_f32(), static_cast<index_t>(r.get_u64())};
 }
 
 nn::Section rng_section(const std::string& name, const Rng& rng) {

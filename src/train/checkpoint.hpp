@@ -2,9 +2,9 @@
 //
 // nn::serialize handles the weights; the section codecs here persist
 // everything else a bit-identical resume needs: Adam first/second moments
-// and step count, scheduler position (global step + next epoch), guard
-// state (LR backoff), the data-order RNG stream, and the model's AtomRef
-// table.  Trainer and DataParallelTrainer compose these into their
+// and step count, scheduler position (global step + next epoch), the
+// non-finite guard's state, the data-order RNG stream, and the model's
+// AtomRef table.  Trainer and DataParallelTrainer compose these into their
 // save_checkpoint / resume paths.
 #pragma once
 
@@ -16,6 +16,8 @@
 #include "train/adam.hpp"
 
 namespace fastchg::train {
+
+struct NonFiniteGuard;
 
 /// Section names used by the trainers.
 inline constexpr const char* kSectionAdam = "adam";
@@ -40,6 +42,11 @@ void restore_adam(Adam& opt, const nn::Section& s);
 /// silently refits a different baseline).
 nn::Section atom_ref_section(const model::CHGNet& net);
 void restore_atom_ref(model::CHGNet& net, const nn::Section& s);
+
+/// Non-finite guard state as `f32 backoff_scale`, `u64 skipped_steps`,
+/// written in place inside the `trainer` and `elastic` sections.
+void put_guard(nn::PayloadWriter& w, const NonFiniteGuard& g);
+NonFiniteGuard get_guard(nn::PayloadReader& r);
 
 /// Serialized Rng engine state.
 nn::Section rng_section(const std::string& name, const Rng& rng);

@@ -29,8 +29,9 @@ Var huber(const Var& pred, const Var& target, float delta) {
   return mean_all(loss);
 }
 
-LossResult chgnet_loss(const model::ModelOutput& out, const data::Batch& b,
-                       const LossWeights& w, float delta) {
+LossResult chgnet_loss(const model::ModelOutput& out, const data::Batch& b) {
+  constexpr LossWeights w;
+  constexpr float delta = kHuberDelta;
   Var le = huber(out.energy_per_atom, constant(b.energy_per_atom), delta);
   Var lf = huber(out.forces, constant(b.forces), delta);
   Var ls = huber(out.stress, constant(b.stress), delta);

@@ -12,6 +12,28 @@
 
 namespace fastchg::train {
 
+StepLoss train_step(const model::CHGNet& net, const data::Batch& b,
+                    float grad_scale) {
+  model::ModelOutput out;
+  LossResult loss;
+  {
+    perf::TraceSpan span("train.forward", "train");
+    out = net.forward(b, model::ForwardMode::kTrain);
+    loss = chgnet_loss(out, b);
+  }
+  StepLoss s{loss.total.item(), loss.energy, loss.force, loss.stress,
+             loss.magmom};
+  // A non-finite loss skips backward: its gradients would be garbage.
+  s.finite = std::isfinite(s.total);
+  if (s.finite) {
+    perf::TraceSpan span("train.backward", "train");
+    ag::backward(grad_scale == 1.0f
+                     ? loss.total
+                     : ag::ops::mul_scalar(loss.total, grad_scale));
+  }
+  return s;
+}
+
 bool gradients_finite(const std::vector<ag::Var>& params) {
   for (const ag::Var& p : params) {
     if (!p.has_grad()) continue;
@@ -84,52 +106,21 @@ EpochStats Trainer::train_epoch(const data::Dataset& ds,
                            : data::collate_indices(ds, plan[step]);
     }();
 
-    opt_.set_lr(sched.lr_at(global_step_) * backoff_scale_);
+    opt_.set_lr(sched.lr_at(global_step_) * guard_.backoff_scale);
     if (micro == 0) opt_.zero_grad();
 
-    double loss_total = 0.0, loss_energy = 0.0, loss_force = 0.0,
-           loss_stress = 0.0, loss_magmom = 0.0;
-    bool finite = true;
-    {
-      // The step's graph lives in this scope and tears down before the
-      // optimizer runs.
-      model::ModelOutput out;
-      LossResult loss;
-      {
-        perf::TraceSpan span("train.forward", "train");
-        out = net_.forward(b, model::ForwardMode::kTrain);
-        loss = chgnet_loss(out, b, cfg_.weights, cfg_.huber_delta);
-      }
-      loss_total = loss.total.item();
-      loss_energy = loss.energy;
-      loss_force = loss.force;
-      loss_stress = loss.stress;
-      loss_magmom = loss.magmom;
-
-      // With the guard on, a non-finite loss skips backward entirely (its
-      // gradients would be garbage anyway); a finite loss can still produce
-      // non-finite gradients, so those are checked after backward.
-      finite = !cfg_.guard_nonfinite || std::isfinite(loss_total);
-      if (finite) {
-        perf::TraceSpan span("train.backward", "train");
-        ag::backward(accum == 1
-                         ? loss.total
-                         : ag::ops::mul_scalar(
-                               loss.total, 1.0f / static_cast<float>(accum)));
-        if (cfg_.guard_nonfinite) finite = gradients_finite(params);
-      }
-    }
-
-    if (cfg_.guard_nonfinite && !finite) {
+    // A finite loss can still produce non-finite gradients.
+    const StepLoss loss =
+        train_step(net_, b, 1.0f / static_cast<float>(accum));
+    if (!loss.finite || !gradients_finite(params)) {
       // Training guard: drop this step (and the current accumulation
       // window) so NaN/Inf never reaches the weights, and back the LR off
       // for the rest of the run.  The scheduler still advances, keeping
       // the LR trajectory aligned with the planned step count.
       opt_.zero_grad();
       micro = 0;
-      backoff_scale_ *= cfg_.lr_backoff;
+      guard_.trip();
       ++st.skipped_steps;
-      ++skipped_steps_;
       ++global_step_;
       continue;
     }
@@ -140,11 +131,11 @@ EpochStats Trainer::train_epoch(const data::Dataset& ds,
       micro = 0;
     }
 
-    st.mean_loss += loss_total;
-    st.energy_loss += loss_energy;
-    st.force_loss += loss_force;
-    st.stress_loss += loss_stress;
-    st.magmom_loss += loss_magmom;
+    st.mean_loss += loss.total;
+    st.energy_loss += loss.energy;
+    st.force_loss += loss.force;
+    st.stress_loss += loss.stress;
+    st.magmom_loss += loss.magmom;
     ++st.iterations;
     ++global_step_;
   }
@@ -179,13 +170,14 @@ std::vector<EpochStats> Trainer::fit(const data::Dataset& ds,
   index_t since_best = 0;
   std::vector<Tensor> best_weights;
   auto params = net_.parameters();
+  constexpr LossWeights w;
   for (index_t e = next_epoch_; e < cfg_.epochs; ++e) {
     EpochStats st = train_epoch(ds, train_idx, e);
     EvalMetrics m = evaluate(ds, val_idx);
-    st.val_score = cfg_.weights.energy * m.energy_mae_mev_atom +
-                   cfg_.weights.force * m.force_mae_mev_a +
-                   cfg_.weights.stress * m.stress_mae_gpa +
-                   cfg_.weights.magmom * m.magmom_mae_mmub;
+    st.val_score = w.energy * m.energy_mae_mev_atom +
+                   w.force * m.force_mae_mev_a +
+                   w.stress * m.stress_mae_gpa +
+                   w.magmom * m.magmom_mae_mmub;
     history.push_back(st);
     if (on_epoch) on_epoch(e, history.back());
     // A NaN val_score must count as "no improvement": NaN comparisons are
@@ -223,8 +215,7 @@ void Trainer::save_checkpoint(const std::string& path) const {
   nn::PayloadWriter w;
   w.put_u64(static_cast<std::uint64_t>(global_step_));
   w.put_u64(static_cast<std::uint64_t>(next_epoch_));
-  w.put_f32(backoff_scale_);
-  w.put_u64(static_cast<std::uint64_t>(skipped_steps_));
+  put_guard(w, guard_);
   std::vector<nn::Section> sections;
   sections.push_back({kSectionTrainer, w.take()});
   sections.push_back(adam_section(opt_));
@@ -239,8 +230,7 @@ void Trainer::resume(const std::string& path) {
     nn::PayloadReader r(require_section(sections, kSectionTrainer).payload);
     global_step_ = static_cast<index_t>(r.get_u64());
     next_epoch_ = static_cast<index_t>(r.get_u64());
-    backoff_scale_ = r.get_f32();
-    skipped_steps_ = static_cast<index_t>(r.get_u64());
+    guard_ = get_guard(r);
     FASTCHG_CHECK(r.done(), "checkpoint: trainer section has trailing bytes");
   }
   restore_adam(opt_, require_section(sections, kSectionAdam));

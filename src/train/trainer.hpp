@@ -1,6 +1,7 @@
-// Single-device trainer: mini-batch loop, Adam, cosine annealing, optional
-// Eq.-14 LR scaling, per-epoch loss/metric tracking, non-finite training
-// guards, and full-state checkpoint / resume.
+// The one training step and non-finite guard every trainer shares, and the
+// single-device trainer: mini-batch loop, Adam, cosine annealing, optional
+// Eq.-14 LR scaling, per-epoch loss/metric tracking, and full-state
+// checkpoint / resume.
 #pragma once
 
 #include <functional>
@@ -17,6 +18,37 @@
 
 namespace fastchg::train {
 
+/// One step's detached loss values (unweighted per property, weighted
+/// total); `finite` is false when the total is NaN/Inf.
+struct StepLoss {
+  double total = 0.0, energy = 0.0, force = 0.0, stress = 0.0, magmom = 0.0;
+  bool finite = true;
+};
+
+/// The step of both trainers and of the cost-model calibration: forward `b`
+/// in kTrain mode, chgnet_loss, and only on a finite loss, backward of
+/// `grad_scale * loss` onto the gradients.  The graph is gone on return.
+StepLoss train_step(const model::CHGNet& net, const data::Batch& b,
+                    float grad_scale = 1.0f);
+
+/// True when every accumulated gradient of `params` is finite (params
+/// without a gradient are ignored).
+bool gradients_finite(const std::vector<ag::Var>& params);
+
+/// Non-finite guard state, always on in both trainers: a step whose loss
+/// or gradient is NaN/Inf is skipped, and trip() counts it and halves the
+/// LR for the rest of the run.
+struct NonFiniteGuard {
+  static constexpr float kBackoff = 0.5f;
+  float backoff_scale = 1.0f;  ///< cumulative LR multiplier (1 = never)
+  index_t skipped_steps = 0;
+
+  void trip() {
+    backoff_scale *= kBackoff;
+    ++skipped_steps;
+  }
+};
+
 struct TrainConfig {
   index_t batch_size = 32;
   index_t epochs = 10;
@@ -24,8 +56,6 @@ struct TrainConfig {
   bool scale_lr = false;   ///< apply Eq. 14 with lr_k
   index_t lr_k = 128;
   float min_lr = 1e-5f;
-  LossWeights weights;
-  float huber_delta = 0.1f;
   std::uint64_t shuffle_seed = 42;
   /// Fit CHGNet's AtomRef composition baseline on the training rows before
   /// the first epoch (strongly recommended; see atom_ref.hpp).
@@ -37,11 +67,6 @@ struct TrainConfig {
   /// this many consecutive mini-batches (large-batch training on a memory
   /// budget; 1 = off).
   index_t accumulation_steps = 1;
-  /// Training guard: when a step produces a non-finite loss or gradient,
-  /// skip the optimizer update (so NaN/Inf never reaches the weights) and
-  /// multiply the effective LR by `lr_backoff` for the rest of the run.
-  bool guard_nonfinite = true;
-  float lr_backoff = 0.5f;
 };
 
 struct EpochStats {
@@ -99,11 +124,8 @@ class Trainer {
   index_t next_epoch() const { return next_epoch_; }
   /// Scheduler steps taken so far (restored by resume()).
   index_t global_step() const { return global_step_; }
-  /// Cumulative LR multiplier applied by the non-finite guard (1 = never
-  /// triggered).
-  float lr_backoff_scale() const { return backoff_scale_; }
-  /// Total steps skipped by the guard across all epochs.
-  index_t skipped_steps() const { return skipped_steps_; }
+  /// LR backoff and skipped steps across all epochs (restored by resume()).
+  const NonFiniteGuard& guard() const { return guard_; }
 
   /// Always-empty replay statistics (see perf::ReplayCacheStub).
   perf::ReplayCacheStub replay_cache() const { return {}; }
@@ -118,8 +140,7 @@ class Trainer {
   Adam opt_;
   index_t global_step_ = 0;
   index_t next_epoch_ = 0;
-  float backoff_scale_ = 1.0f;
-  index_t skipped_steps_ = 0;
+  NonFiniteGuard guard_;
   Rng shuffle_rng_{0};  ///< data-order stream; reseeded per epoch
   /// Step arena: every step's graph (activations, Nodes, gradients) is
   /// allocated here and recycled on teardown, so after the first step's
@@ -127,9 +148,5 @@ class Trainer {
   /// (see docs/memory.md; asserted by bench_memory_arena).
   alloc::AllocatorPtr step_pool_ = std::make_shared<alloc::PoolAllocator>();
 };
-
-/// True when every accumulated gradient of `params` is finite (params
-/// without a gradient are ignored).
-bool gradients_finite(const std::vector<ag::Var>& params);
 
 }  // namespace fastchg::train

@@ -81,6 +81,22 @@ TEST(Cli, UnknownCommandFailsWithUsage) {
 
 // A flag the subcommand does not read is an error, not silently ignored:
 // usage text naming the flag, exit code 2.
+// An elastic shrink and rejoin print their charged costs in ms: at the
+// CLI's model size they are sub-millisecond, which a seconds field would
+// round to 0.00.
+TEST(Cli, DpElasticTransitionsPrintNonZeroCosts) {
+  CliResult r = run_cli("dp --devices 8 --n 192 --batch 16 --epochs 2 "
+                        "--width 12 --layers 1 "
+                        "--fault-plan \"fail:2@5,join:2@9\"");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("failed: 2  recovery "), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("joined: 2  join "), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("recovery 0.00"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("join 0.00"), std::string::npos) << r.output;
+}
+
 TEST(Cli, UnknownFlagFailsWithUsage) {
   for (const std::string flag : {"--shards 4", "--batch-workers 2"}) {
     CliResult r = run_cli("serve " + flag);

@@ -644,8 +644,8 @@ TEST(Guard, SingleDevicePoisonedLabelsNeverReachWeights) {
     tc.prefetch = false;
     train::Trainer trainer(net, tc);
     trainer.fit(ds, all_rows(ds));
-    EXPECT_GT(trainer.skipped_steps(), 0);
-    EXPECT_LT(trainer.lr_backoff_scale(), 1.0f);
+    EXPECT_GT(trainer.guard().skipped_steps, 0);
+    EXPECT_LT(trainer.guard().backoff_scale, 1.0f);
     for (float w : flat_params(net)) ASSERT_TRUE(std::isfinite(w));
   }
 }
@@ -659,8 +659,65 @@ TEST(Guard, DataParallelPoisonedShardSkipsInLockstep) {
   pc.global_batch = 8;
   parallel::DataParallelTrainer dp(tiny_cfg(), pc, 7);
   const auto result = dp.train_epoch(ds, all_rows(ds), 0);
-  EXPECT_GT(result.skipped_steps, 0);
+  // The NaN label stays out of the AtomRef fit -- the same fit as leaving
+  // row 5 out -- so only the iteration that holds row 5 is skipped; the
+  // other one trains.
+  std::vector<index_t> without_5 = all_rows(ds);
+  without_5.erase(without_5.begin() + 5);
+  ASSERT_TRUE(dp.model().has_atom_ref());
+  const std::vector<float> e0 = dp.model().atom_ref().to_vector();
+  EXPECT_EQ(e0, train::fit_atom_ref(ds, without_5, tiny_cfg().num_species));
+  for (float v : e0) ASSERT_TRUE(std::isfinite(v));
+  ASSERT_EQ(result.iterations.size(), 2u);
+  EXPECT_EQ(result.skipped_steps, 1);
   for (float w : flat_params(dp.model())) ASSERT_TRUE(std::isfinite(w));
+}
+
+TEST(Guard, DataParallelMeanLossCountsOnlyAppliedSteps) {
+  data::Dataset clean = small_dataset(16, 71);
+  data::Dataset ds = poisoned_dataset(
+      clean, [](data::Crystal& c) { c.energy = kNaN; }, 5);
+  const std::vector<index_t> rows = all_rows(ds);
+  parallel::DataParallelConfig pc;
+  pc.num_devices = 2;
+  pc.global_batch = 8;
+  parallel::DataParallelTrainer dp(tiny_cfg(), pc, 7);
+
+  // The applied iteration runs at the initial weights whichever comes
+  // first (the skipped one changes nothing), so its device losses can be
+  // recomputed on a twin before training.
+  model::CHGNet twin(tiny_cfg(), 7);
+  twin.copy_parameters_from(dp.model());
+  twin.set_atom_ref(train::fit_atom_ref(ds, rows, tiny_cfg().num_species));
+  parallel::SamplerConfig scfg;
+  scfg.num_devices = pc.num_devices;
+  scfg.global_batch = pc.global_batch;
+  scfg.seed = pc.seed;
+  const parallel::ShardPlan plan = parallel::load_balance_sharding(
+      rows, parallel::sample_workloads(ds), scfg);
+  double applied_sum = 0.0;
+  index_t applied_count = 0;
+  for (const auto& shards : plan.iterations) {
+    bool poisoned = false;
+    for (const auto& shard : shards) {
+      poisoned = poisoned ||
+                 std::find(shard.begin(), shard.end(), 5) != shard.end();
+    }
+    if (poisoned) continue;
+    for (const auto& shard : shards) {
+      const data::Batch b = data::collate_indices(ds, shard);
+      const model::ModelOutput out =
+          twin.forward(b, model::ForwardMode::kTrain);
+      applied_sum += train::chgnet_loss(out, b).total.item();
+      ++applied_count;
+    }
+  }
+  ASSERT_EQ(applied_count, 2);
+
+  const auto result = dp.train_epoch(ds, rows, 0);
+  EXPECT_EQ(result.skipped_steps, 1);
+  EXPECT_EQ(result.mean_loss,
+            applied_sum / static_cast<double>(applied_count));
 }
 
 TEST(Guard, EarlyStopTreatsNaNValScoreAsNoImprovement) {

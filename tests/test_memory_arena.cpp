@@ -67,8 +67,7 @@ std::vector<index_t> all_rows(const data::Dataset& ds) {
 // caller warms up once so steady-state steps accumulate in place.
 void run_manual_step(model::CHGNet& net, const data::Batch& b) {
   model::ModelOutput out = net.forward(b, model::ForwardMode::kTrain);
-  train::LossResult loss =
-      train::chgnet_loss(out, b, train::LossWeights{}, 0.1f);
+  train::LossResult loss = train::chgnet_loss(out, b);
   ag::backward(loss.total);
 }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -272,6 +273,68 @@ TEST(DataParallel, MatchesSingleDeviceGradientAccumulation) {
     }
   }
   EXPECT_EQ(worst, 0.0f);
+}
+
+// At P = 1 the data-parallel trainer runs the single-device Trainer's step
+// and guard: with the same shuffle seed, a flat LR (min_lr == base_lr) and
+// no load balancing, weights, per-epoch mean loss and guard state match
+// bit for bit -- also when a poisoned-forces row makes both skip steps.
+// docs/virtual_cluster.md (Layer 1) lists what still differs at P = 1.
+TEST(DataParallel, OneDeviceEqualsTrainer) {
+  const data::Dataset clean = medium_dataset(32, 44);
+  std::vector<data::Crystal> crystals;
+  for (index_t i = 0; i < clean.size(); ++i) {
+    crystals.push_back(clean[i].crystal);
+  }
+  crystals[5].forces[0][1] = std::numeric_limits<float>::quiet_NaN();
+  const data::Dataset poisoned = data::Dataset::from_crystals(
+      std::move(crystals), clean.graph_config(), {}, /*relabel=*/false);
+
+  for (const data::Dataset* ds : {&clean, &poisoned}) {
+    const auto rows = all_rows(*ds);
+    DataParallelConfig pc;
+    pc.num_devices = 1;
+    pc.global_batch = 8;
+    pc.load_balance = false;
+    pc.scale_lr = false;
+    pc.seed = 9;
+    DataParallelTrainer dp(tiny_fast_config(), pc, 13);
+
+    model::CHGNet net(tiny_fast_config(), 13);
+    train::TrainConfig tc;
+    tc.batch_size = pc.global_batch;
+    tc.epochs = 3;
+    tc.base_lr = pc.base_lr;
+    tc.min_lr = pc.base_lr;
+    tc.shuffle_seed = pc.seed;
+    train::Trainer trainer(net, tc);
+
+    for (index_t e = 0; e < tc.epochs; ++e) {
+      const double dp_loss = dp.train_epoch(*ds, rows, e).mean_loss;
+      const double tr_loss = trainer.train_epoch(*ds, rows, e).mean_loss;
+      EXPECT_TRUE(std::isfinite(tr_loss)) << "epoch " << e;
+      EXPECT_EQ(dp_loss, tr_loss) << "epoch " << e;
+    }
+
+    const auto a = dp.model().parameters();
+    const auto b = net.parameters();
+    ASSERT_EQ(a.size(), b.size());
+    float worst = 0.0f;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const float* pa = a[i].value().data();
+      const float* pb = b[i].value().data();
+      for (index_t k = 0; k < a[i].numel(); ++k) {
+        ASSERT_TRUE(std::isfinite(pa[k]) && std::isfinite(pb[k]));
+        worst = std::max(worst, std::fabs(pa[k] - pb[k]));
+      }
+    }
+    EXPECT_EQ(worst, 0.0f);
+    EXPECT_EQ(dp.guard().skipped_steps, trainer.guard().skipped_steps);
+    EXPECT_EQ(dp.guard().backoff_scale, trainer.guard().backoff_scale);
+    if (ds == &poisoned) {
+      EXPECT_GT(trainer.guard().skipped_steps, 0);
+    }
+  }
 }
 
 TEST(DataParallel, TimingFieldsPopulated) {

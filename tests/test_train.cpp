@@ -266,10 +266,11 @@ TEST(EarlyStopping, StopsAndRestoresBestWeights) {
   double best = hist[0].val_score;
   for (const auto& h : hist) best = std::min(best, h.val_score);
   EvalMetrics m = trainer.evaluate(ds, val_idx);
-  const double restored = tc.weights.energy * m.energy_mae_mev_atom +
-                          tc.weights.force * m.force_mae_mev_a +
-                          tc.weights.stress * m.stress_mae_gpa +
-                          tc.weights.magmom * m.magmom_mae_mmub;
+  const train::LossWeights w{};
+  const double restored = w.energy * m.energy_mae_mev_atom +
+                          w.force * m.force_mae_mev_a +
+                          w.stress * m.stress_mae_gpa +
+                          w.magmom * m.magmom_mae_mmub;
   EXPECT_NEAR(restored, best, 1e-6 * std::max(1.0, best));
 }
 

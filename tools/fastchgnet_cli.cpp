@@ -225,13 +225,13 @@ int cmd_dp(const std::map<std::string, std::string>& flags) {
     if (!r.failed_devices.empty()) {
       std::printf("  failed:");
       for (int d : r.failed_devices) std::printf(" %d", d);
-      std::printf("  recovery %.2fs  new LR %.2e", r.recovery_seconds,
-                  dp.effective_lr());
+      std::printf("  recovery %.3gms  new LR %.2e",
+                  r.recovery_seconds * 1e3, dp.effective_lr());
     }
     if (!r.joined_devices.empty()) {
       std::printf("  joined:");
       for (int d : r.joined_devices) std::printf(" %d", d);
-      std::printf("  join %.2fs  new LR %.2e", r.join_seconds,
+      std::printf("  join %.3gms  new LR %.2e", r.join_seconds * 1e3,
                   dp.effective_lr());
     }
     if (r.skipped_steps > 0) {

@@ -14,8 +14,6 @@
 //     must be exactly 0 once the pool saturates;
 //   * serve.pool_{off,on}.mallocs_per_forward -- same per fused
 //     micro-batched forward on a warmed engine;
-//   * serve_int8.pool_{off,on}.mallocs_per_forward -- same with the
-//     engine's quantized replica serving;
 //   * *.malloc_ratio -- pooled / unpooled (acceptance bar: <= 0.01);
 //   * bitexact.{train,dp,serve}.max_diff -- must be exactly 0.0: the
 //     allocator changes where bytes live, never their values;
@@ -136,19 +134,14 @@ PhaseCounts measure_train_prefetch(const BenchOptions& opt,
 }
 
 /// Warmed engine ticks over a fixed request stream (fused micro-batches).
-/// With `quantize` the int8 replica serves: its tensors must recycle
-/// exactly like fp32 ones, so steady state is ~0 system allocations too.
-/// The int8 audit draws its own request stream, so the two audits cover
-/// different crystals.
-PhaseCounts measure_serve(bool pooled, bool quantize, const BenchOptions& opt) {
+PhaseCounts measure_serve(bool pooled, const BenchOptions& opt) {
   alloc::set_pooling_enabled(pooled);
-  data::Dataset ds = bench::bench_dataset(16, quantize ? 909 : 505, opt);
+  data::Dataset ds = bench::bench_dataset(16, 505, opt);
   model::CHGNet net(bench::bench_model_config(3, opt), 7);
   serve::EngineConfig cfg;
   cfg.graph = bench::bench_graph_config(opt);
   cfg.max_batch = 4;
   cfg.queue_capacity = 64;
-  cfg.quantize = quantize;
   serve::InferenceEngine engine(net, cfg);
 
   const auto tick = [&] {
@@ -309,8 +302,8 @@ int main(int argc, char** argv) {
               train_pf.slab_high_water);
 
   // -- serving steady state --------------------------------------------
-  const PhaseCounts serve_off = measure_serve(false, false, opt);
-  const PhaseCounts serve_on = measure_serve(true, false, opt);
+  const PhaseCounts serve_off = measure_serve(false, opt);
+  const PhaseCounts serve_on = measure_serve(true, opt);
   const double serve_ratio =
       serve_off.mallocs_per_unit > 0.0
           ? serve_on.mallocs_per_unit / serve_off.mallocs_per_unit
@@ -325,22 +318,6 @@ int main(int argc, char** argv) {
               "misses %.0f\n",
               serve_ratio, serve_on.pool_hits, serve_on.pool_misses);
 
-  // -- int8 serving steady state ---------------------------------------
-  const PhaseCounts i8_off = measure_serve(false, true, opt);
-  const PhaseCounts i8_on = measure_serve(true, true, opt);
-  const double i8_ratio = i8_off.mallocs_per_unit > 0.0
-                              ? i8_on.mallocs_per_unit / i8_off.mallocs_per_unit
-                              : 0.0;
-  bench::print_rule();
-  std::printf("int8 serve (per fused forward, warmed quantized replica):\n");
-  std::printf("  pool off : %10.1f system allocs/forward (%.3fs)\n",
-              i8_off.mallocs_per_unit, i8_off.seconds);
-  std::printf("  pool on  : %10.1f system allocs/forward (%.3fs)\n",
-              i8_on.mallocs_per_unit, i8_on.seconds);
-  std::printf("  ratio    : %10.4f   (acceptance: <= 0.01)  hits %.0f  "
-              "misses %.0f\n",
-              i8_ratio, i8_on.pool_hits, i8_on.pool_misses);
-
   // -- bit-exactness ----------------------------------------------------
   const double diff_train = bitexact_train(opt);
   const double diff_dp = bitexact_dp(opt);
@@ -354,7 +331,7 @@ int main(int argc, char** argv) {
   alloc::set_pooling_enabled(prev_pooling);
 
   const bool pass = train_ratio <= 0.01 && serve_ratio <= 0.01 &&
-                    i8_ratio <= 0.01 && train_pf.mallocs_per_unit == 0.0 &&
+                    train_pf.mallocs_per_unit == 0.0 &&
                     diff_train == 0.0 && diff_dp == 0.0 && diff_serve == 0.0;
   std::printf("\nshape check: %s\n", pass ? "PASS" : "FAIL");
 
@@ -373,11 +350,6 @@ int main(int argc, char** argv) {
   rec.metric("serve.pool_on.mallocs_per_forward", serve_on.mallocs_per_unit);
   rec.metric("serve.malloc_ratio", serve_ratio);
   rec.metric("serve.pool_on.misses", serve_on.pool_misses);
-  rec.metric("serve_int8.pool_off.mallocs_per_forward",
-             i8_off.mallocs_per_unit);
-  rec.metric("serve_int8.pool_on.mallocs_per_forward",
-             i8_on.mallocs_per_unit);
-  rec.metric("serve_int8.malloc_ratio", i8_ratio);
   rec.metric("bitexact.train.max_diff", diff_train);
   rec.metric("bitexact.dp.max_diff", diff_dp);
   rec.metric("bitexact.serve.max_diff", diff_serve);

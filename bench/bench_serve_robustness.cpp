@@ -2,7 +2,7 @@
 // fuzzed inference requests plus watchdog-supervised MD, all driven under a
 // seeded parallel::FaultPlan.  The bar is zero crashes and zero silent NaN:
 // every reply is either a finite prediction or a typed ServeError, and the
-// recovery / degradation machinery reports how often each rung fired.
+// recovery machinery reports how often each rung fired.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -35,7 +35,6 @@ int run(int argc, char** argv) {
 
   EngineConfig cfg;
   cfg.graph = bench_graph_config(opt);
-  cfg.quantize = true;
   cfg.base_latency_ms = 0.05;
   cfg.default_deadline_ms = 1e6;
   InferenceEngine eng(net, cfg);
@@ -55,7 +54,7 @@ int run(int argc, char** argv) {
 
   std::map<Corruption, int> sent;
   std::map<ErrorCode, int> errors;
-  int ok = 0, degraded_ok = 0, retried_ok = 0;
+  int ok = 0, retried_ok = 0;
   bool silent_nan = false, untyped = false;
   perf::Timer wall;
   for (int i = 0; i < requests; ++i) {
@@ -67,7 +66,6 @@ int run(int argc, char** argv) {
       if (r.ok()) {
         ++ok;
         const Prediction& p = r.value();
-        if (p.degraded) ++degraded_ok;
         if (p.retries > 0) ++retried_ok;
         bool finite = std::isfinite(p.energy);
         for (const auto& f : p.forces) {
@@ -90,8 +88,7 @@ int run(int argc, char** argv) {
     std::printf("  %-18s %6d\n", to_string(kind), n);
   }
   std::printf("\noutcomes:\n");
-  std::printf("  %-18s %6d  (%d degraded, %d after retries)\n", "served", ok,
-              degraded_ok, retried_ok);
+  std::printf("  %-18s %6d  (%d after retries)\n", "served", ok, retried_ok);
   for (const auto& [code, n] : errors) {
     std::printf("  %-18s %6d\n", code_name(code), n);
   }
@@ -106,33 +103,6 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(st.timeouts),
               static_cast<unsigned long long>(st.overloaded),
               static_cast<unsigned long long>(st.retries));
-
-  // -- Degradation ladder: corrupt the int8 replica in place (as a bad
-  //    weight transfer would) and keep serving -- every reply must come
-  //    back finite via the retained fp32 model, flagged degraded.
-  print_rule();
-  std::printf("quantized-replica corruption: serving must degrade to fp32\n");
-  eng.set_fault_plan(nullptr);
-  if (auto* replica = eng.quantized_replica()) {
-    auto params = replica->named_parameters();
-    for (auto& [name, p] : params) {
-      p.node()->value.fill_(std::numeric_limits<float>::quiet_NaN());
-    }
-  }
-  int degraded_served = 0, degraded_failed = 0;
-  const int degraded_requests = 25;
-  for (int i = 0; i < degraded_requests; ++i) {
-    data::Crystal c = data::random_crystal(rng, gen);
-    auto r = eng.predict(c);
-    if (r.ok() && r.value().degraded && std::isfinite(r.value().energy)) {
-      ++degraded_served;
-    } else if (!r.ok() && r.code() != ErrorCode::kInvalidInput) {
-      ++degraded_failed;
-    }
-  }
-  std::printf("  %d/%d replies served degraded-but-finite (%d hard "
-              "failures)\n", degraded_served, degraded_requests,
-              degraded_failed);
 
   // -- MD watchdog under an aggressive timestep: the dt-halving ladder must
   //    keep the trajectory alive (or abort with a typed snapshot), never
@@ -277,24 +247,52 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(fz_eng.stats().bisections),
               static_cast<unsigned long long>(fz_eng.stats().isolated_faults));
 
+  // -- Poisoned model: corrupt the served weights in place (as a bad
+  //    weight transfer would) and keep serving.  Nothing is left to fall
+  //    back to, so every valid request must get a typed kNumericFault:
+  //    none served, no silent NaN, nothing thrown.  Runs last because it
+  //    ruins `net` for the sections above.
   print_rule();
-  std::printf("recovery / degradation event counters:\n");
-  for (const char* ev : {"serve.retry", "serve.fp32_fallback",
-                         "md.dt_halved", "md.watchdog_abort",
+  std::printf("poisoned model: every valid request must fail typed\n");
+  eng.set_fault_plan(nullptr);
+  for (auto& [name, p] : net.named_parameters()) {
+    p.node()->value.fill_(std::numeric_limits<float>::quiet_NaN());
+  }
+  int poisoned_faults = 0, hard_failures = 0;
+  const int poisoned_requests = 25;
+  for (int i = 0; i < poisoned_requests; ++i) {
+    data::Crystal c = data::random_crystal(rng, gen);
+    try {
+      auto r = eng.predict(c);
+      if (!r.ok() && r.code() == ErrorCode::kNumericFault) {
+        ++poisoned_faults;
+      } else if (r.ok() || r.code() != ErrorCode::kInvalidInput) {
+        ++hard_failures;  // served from NaN weights, or the wrong code
+      }
+    } catch (...) {
+      ++hard_failures;
+    }
+  }
+  std::printf("  %d/%d replies typed numeric_fault (%d hard failures)\n",
+              poisoned_faults, poisoned_requests, hard_failures);
+
+  print_rule();
+  std::printf("recovery event counters:\n");
+  for (const char* ev : {"serve.retry", "md.dt_halved", "md.watchdog_abort",
                          "md.verlet_fallback"}) {
     std::printf("  %-22s %llu\n", ev,
                 static_cast<unsigned long long>(perf::event_count(ev)));
   }
 
   const bool pass = !untyped && !silent_nan && !md_nan &&
-                    degraded_served > 0 && degraded_failed == 0 &&
+                    poisoned_faults > 0 && hard_failures == 0 &&
                     batch_pass && !fz_untyped;
   std::printf("\n[shape %s] zero crashes, zero silent NaN across %d fuzzed "
               "requests + %d MD trajectories; fused batching %.2fx "
               "at max diff %.1e (bar: 1e-10)\n",
               pass ? "OK" : "MISMATCH", requests, md_runs, speedup, max_diff);
   rec.metric("per_request.seconds", wall_s / requests);
-  rec.metric("hard_failures", static_cast<double>(degraded_failed));
+  rec.metric("hard_failures", static_cast<double>(hard_failures));
   rec.metric("silent_nan", silent_nan ? 1.0 : 0.0);
   rec.metric("untyped_throws", untyped ? 1.0 : 0.0);
   rec.metric("batched.per_request.seconds", fused_s / batch_requests);

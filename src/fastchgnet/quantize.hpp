@@ -23,7 +23,7 @@ struct QuantizationReport {
   /// Non-finite weights encountered: excluded from the scale computation
   /// (one NaN would otherwise poison max|w| and with it every weight) and
   /// clamped to 0 in the dequantized output.  Non-zero here means the
-  /// checkpoint is corrupt; serving should fall back to a clean replica.
+  /// checkpoint is corrupt.
   index_t nonfinite = 0;
   double max_abs_error = 0.0;   ///< worst |w - dequant(quant(w))|, finite w
   double mean_abs_error = 0.0;

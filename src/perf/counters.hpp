@@ -84,7 +84,7 @@ void track_pool_miss();                  ///< pooled request that went upstream
 void track_pool_slab(std::int64_t delta);  ///< slab bytes acquired (+) / trimmed (-)
 void track_pool_trim(std::uint64_t bytes); ///< slab bytes released by a trim
 
-/// Record `n` occurrences of a robustness event (e.g. "serve.fp32_fallback",
+/// Record `n` occurrences of a robustness event (e.g. "serve.retry",
 /// "md.dt_halved").  See docs/serving.md for the event vocabulary.
 void count_event(const char* name, std::uint64_t n = 1);
 /// Occurrences recorded for `name` (0 when never fired).

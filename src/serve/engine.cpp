@@ -18,26 +18,14 @@ InferenceEngine::InferenceEngine(const model::CHGNet& net, EngineConfig cfg)
         bc.max_batch = cfg.max_batch < 1 ? index_t{1} : cfg.max_batch;
         bc.corrupt_batch = cfg.corrupt_batch;
         return bc;
-      }()) {
-  if (cfg_.quantize) {
-    // Replica parameters (clones + round-tripped tensors) draw from the
-    // constructing thread's pool.
-    alloc::ArenaScope arena;
-    replica_ = std::make_unique<model::CHGNet>(net.config(), /*seed=*/0);
-    replica_->copy_parameters_from(net);
-    if (net.has_atom_ref()) {
-      replica_->set_atom_ref(net.atom_ref().to_vector());
-    }
-    quant_report_ = model::quantize_for_inference(*replica_);
-  }
-}
+      }()) {}
 
 void InferenceEngine::set_fault_plan(const parallel::FaultPlan* plan) {
   injector_ = parallel::FaultInjector(plan);
 }
 
 Result<Prediction> InferenceEngine::forward_checked(
-    const model::CHGNet& m, const data::Crystal& c) const {
+    const data::Crystal& c) const {
   perf::TraceSpan span_fwd("serve.forward", "serve");
   // Request-scoped arena: graph build, collate and eval-mode forward all
   // recycle through the serving thread's pool; a steady stream of
@@ -49,7 +37,7 @@ Result<Prediction> InferenceEngine::forward_checked(
   try {
     auto sample = build_sample(c, cfg_.graph);
     b = data::collate({sample.get()}, /*with_labels=*/false);
-    out = m.forward(b, model::ForwardMode::kEval);
+    out = net_.forward(b, model::ForwardMode::kEval);
   } catch (const Error& e) {
     // The request passed validation, so a throw here is a serving-side
     // fault (graph/forward invariant), not a bad request.
@@ -123,45 +111,29 @@ Result<Prediction> InferenceEngine::serve_one(const data::Crystal& c,
   if (!admit(c, deadline_ms, queued_ms, &simulated_ms, &retries, &rejected)) {
     return std::move(*rejected);
   }
-  const auto elapsed = [&] {
-    return timer.millis() + simulated_ms + queued_ms;
-  };
+  // Forward before reading the timer: the elapsed time must include it.
+  Result<Prediction> r = forward_checked(c);
+  return finish(std::move(r), deadline_ms,
+                timer.millis() + simulated_ms + queued_ms, retries);
+}
 
-  // Forward on the serving path; a numeric fault on the quantized replica
-  // degrades to the retained fp32 model instead of failing the request.
-  bool degraded = false;
-  Result<Prediction> r =
-      forward_checked(replica_ ? *replica_ : net_, c);
-  if (!r.ok() && r.code() == ErrorCode::kNumericFault && replica_) {
-    perf::count_event("serve.fp32_fallback");
-    degraded = true;
-    r = forward_checked(net_, c);
-  }
+Result<Prediction> InferenceEngine::finish(Result<Prediction> r,
+                                           double deadline_ms,
+                                           double elapsed_ms, int retries) {
   if (!r.ok()) {
     ++stats_.numeric_faults;
     return r.error();
   }
-  if (elapsed() > deadline_ms) {
+  if (elapsed_ms > deadline_ms) {
     ++stats_.timeouts;
     std::ostringstream os;
-    os << "deadline " << deadline_ms << " ms exceeded (" << elapsed()
+    os << "deadline " << deadline_ms << " ms exceeded (" << elapsed_ms
        << " ms elapsed)";
     return Result<Prediction>::failure(ErrorCode::kTimeout, os.str());
   }
-  if (degraded) {
-    ++stats_.degraded;
-    if (cfg_.strict) {
-      return Result<Prediction>::failure(
-          ErrorCode::kDegraded,
-          "quantized path faulted; strict mode refuses the fp32 fallback "
-          "reply");
-    }
-  }
-
   Prediction p = std::move(r).value();
-  p.degraded = degraded;
   p.retries = retries;
-  p.latency_ms = elapsed();
+  p.latency_ms = elapsed_ms;
   ++stats_.served;
   return p;
 }
@@ -204,7 +176,6 @@ std::vector<Result<Prediction>> InferenceEngine::drain() {
     // A request that survives admission.
     struct PendingReq {
       std::size_t slot;      ///< FIFO position within the tick
-      data::Crystal crystal; ///< kept for the fp32 fallback re-forward
       double deadline_ms;
       double pre_ms;  ///< queue wait + simulated latency before the forward
       int retries;
@@ -236,65 +207,27 @@ std::vector<Result<Prediction>> InferenceEngine::drain() {
         continue;
       }
       items.push_back(BatchItem{build_sample(q.crystal, cfg_.graph), t});
-      pend.push_back(PendingReq{t, std::move(q.crystal), q.deadline_ms,
-                                waited_ms + sim_ms, retries});
+      pend.push_back(
+          PendingReq{t, q.deadline_ms, waited_ms + sim_ms, retries});
     }
 
-    // Phase B: one fused forward per tick (split across replica workers
-    // when several micro-batches are pending), bisection on numeric faults.
+    // Phase B: one fused forward per tick, bisection on numeric faults.
     if (!pend.empty()) {
       perf::Timer fwd_timer;
       BatchRunStats bs;
-      std::vector<Result<Prediction>> rs =
-          batcher_.run(replica_ ? *replica_ : net_, items, &bs);
+      std::vector<Result<Prediction>> rs = batcher_.run(net_, items, &bs);
       stats_.micro_batches += bs.micro_batches;
       stats_.bisections += bs.bisections;
       stats_.isolated_faults += bs.isolated_faults;
       // The tick's forward wall time counts against every request in it.
       const double fwd_ms = fwd_timer.millis();
 
-      // Phase C (sequential): degradation, deadlines, stats.
+      // Phase C (sequential): numeric faults, deadlines, stats.
       for (std::size_t i = 0; i < pend.size(); ++i) {
-        PendingReq& pr = pend[i];
-        Result<Prediction> r = std::move(rs[i]);
-        bool degraded = false;
-        if (!r.ok() && r.code() == ErrorCode::kNumericFault && replica_) {
-          perf::count_event("serve.fp32_fallback");
-          degraded = true;
-          r = forward_checked(net_, pr.crystal);
-        }
-        if (!r.ok()) {
-          ++stats_.numeric_faults;
-          out[pr.slot] = std::make_unique<Result<Prediction>>(r.error());
-          continue;
-        }
-        const double elapsed = pr.pre_ms + fwd_ms;
-        if (elapsed > pr.deadline_ms) {
-          ++stats_.timeouts;
-          std::ostringstream os;
-          os << "deadline " << pr.deadline_ms << " ms exceeded (" << elapsed
-             << " ms elapsed)";
-          out[pr.slot] = std::make_unique<Result<Prediction>>(
-              Result<Prediction>::failure(ErrorCode::kTimeout, os.str()));
-          continue;
-        }
-        if (degraded) {
-          ++stats_.degraded;
-          if (cfg_.strict) {
-            out[pr.slot] = std::make_unique<Result<Prediction>>(
-                Result<Prediction>::failure(
-                    ErrorCode::kDegraded,
-                    "quantized path faulted; strict mode refuses the fp32 "
-                    "fallback reply"));
-            continue;
-          }
-        }
-        Prediction p = std::move(r).value();
-        p.degraded = degraded;
-        p.retries = pr.retries;
-        p.latency_ms = elapsed;
-        ++stats_.served;
-        out[pr.slot] = std::make_unique<Result<Prediction>>(std::move(p));
+        const PendingReq& pr = pend[i];
+        out[pr.slot] = std::make_unique<Result<Prediction>>(
+            finish(std::move(rs[i]), pr.deadline_ms, pr.pre_ms + fwd_ms,
+                   pr.retries));
       }
     }
 

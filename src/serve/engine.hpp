@@ -4,12 +4,11 @@
 //
 //   admission -> validation -> [injected-fault retry loop] -> graph build
 //            -> fused micro-batch forward -> numeric watchdog / bisection
-//            -> (quantized -> fp32 degradation) -> reply
+//            -> reply
 //
-// and every exit is a typed Result: success (possibly flagged degraded), or
-// kInvalidInput / kNumericFault / kTimeout / kOverloaded / kDegraded.  No
-// request -- however malformed -- may crash the process or return a silent
-// NaN.
+// and every exit is a typed Result: success, or kInvalidInput /
+// kNumericFault / kTimeout / kOverloaded.  No request -- however malformed
+// -- may crash the process or return a silent NaN.
 //
 // The queued path (`submit` + `drain`) is dynamically micro-batched: each
 // tick drains up to `max_batch` admitted requests into one disjoint-union
@@ -30,7 +29,6 @@
 #include <memory>
 
 #include "chgnet/model.hpp"
-#include "fastchgnet/quantize.hpp"
 #include "parallel/fault.hpp"
 #include "perf/counters.hpp"
 #include "perf/timer.hpp"
@@ -44,13 +42,6 @@ namespace fastchg::serve {
 struct EngineConfig {
   ValidationLimits limits;
   data::GraphConfig graph;
-  /// Serve an int8 round-tripped replica of the model; the fp32 original is
-  /// retained and any numeric fault on the quantized path falls back to it
-  /// (counted, and flagged degraded on the reply).
-  bool quantize = false;
-  /// Strict mode: a reply that only exists via a degraded path becomes a
-  /// kDegraded error instead of a flagged success.
-  bool strict = false;
 
   // Admission control.
   std::size_t queue_capacity = 64;    ///< bounded request queue
@@ -73,12 +64,11 @@ struct EngineConfig {
       corrupt_batch;
 };
 
-/// Monotonic per-engine tallies (perf::counters mirrors the fallbacks
+/// Monotonic per-engine tallies (perf::counters mirrors the retries
 /// globally; these stay attributable when several engines coexist).
 struct EngineStats {
   std::uint64_t submitted = 0;
   std::uint64_t served = 0;            ///< successful replies
-  std::uint64_t degraded = 0;          ///< served via fp32 fallback
   std::uint64_t rejected_invalid = 0;  ///< kInvalidInput
   std::uint64_t numeric_faults = 0;    ///< kNumericFault replies
   std::uint64_t timeouts = 0;          ///< kTimeout replies
@@ -94,8 +84,7 @@ using CacheStats = perf::ReplayCacheStub::Stats;
 
 class InferenceEngine {
  public:
-  /// `net` must outlive the engine.  With cfg.quantize the engine clones the
-  /// parameters into an int8 round-tripped replica at construction.
+  /// `net` must outlive the engine.
   InferenceEngine(const model::CHGNet& net, EngineConfig cfg = {});
 
   /// Validate and serve one structure synchronously.  `deadline_ms` < 0
@@ -107,10 +96,9 @@ class InferenceEngine {
   /// On success returns the request's queue ticket.
   Result<std::size_t> submit(data::Crystal c, double deadline_ms = -1);
   /// Serve all queued requests FIFO through the micro-batched pipeline
-  /// (fused forwards of up to max_batch, replica workers).  A request whose
-  /// deadline expired while it sat in the queue is answered kTimeout
-  /// without touching the model.  With max_batch <= 1 each tick serves one
-  /// request.
+  /// (fused forwards of up to max_batch).  A request whose deadline expired
+  /// while it sat in the queue is answered kTimeout without touching the
+  /// model.  With max_batch <= 1 each tick serves one request.
   std::vector<Result<Prediction>> drain();
   std::size_t queue_depth() const { return queue_.size(); }
 
@@ -122,22 +110,19 @@ class InferenceEngine {
   const EngineConfig& config() const { return cfg_; }
   /// Always-empty cache statistics (see perf::ReplayCacheStub).
   perf::ReplayCacheStub cache() const { return {}; }
-  /// Quantization report of the int8 replica (zeros when quantize = false).
-  const model::QuantizationReport& quantization_report() const {
-    return quant_report_;
-  }
-  /// The int8-round-tripped replica (nullptr when quantize = false).
-  /// Exposed for diagnostics and fault-injection tests.
-  model::CHGNet* quantized_replica() { return replica_.get(); }
   /// Always-empty replay statistics (see perf::ReplayCacheStub).
   perf::ReplayCacheStub replay_cache() const { return {}; }
 
  private:
-  /// One forward through `m` plus the numeric watchdog.
-  Result<Prediction> forward_checked(const model::CHGNet& m,
-                                     const data::Crystal& c) const;
+  /// One forward through the model plus the numeric watchdog.
+  Result<Prediction> forward_checked(const data::Crystal& c) const;
   Result<Prediction> serve_one(const data::Crystal& c, double deadline_ms,
                                double queued_ms);
+  /// The post-forward steps predict() and drain() share: a numeric fault
+  /// becomes a kNumericFault reply, then the deadline check against
+  /// `elapsed_ms`, then the Prediction is filled and counted as served.
+  Result<Prediction> finish(Result<Prediction> r, double deadline_ms,
+                            double elapsed_ms, int retries);
 
   /// Admission, validation, and injected-fault handling shared by
   /// predict() and drain().  On rejection fills `*reply`; on success returns the
@@ -155,8 +140,6 @@ class InferenceEngine {
 
   const model::CHGNet& net_;
   EngineConfig cfg_;
-  std::unique_ptr<model::CHGNet> replica_;  ///< int8 round-tripped copy
-  model::QuantizationReport quant_report_;
   parallel::FaultInjector injector_{nullptr};
   index_t request_seq_ = 0;  ///< fault-plan "iteration" of the next request
   std::deque<Queued> queue_;

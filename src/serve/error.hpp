@@ -27,7 +27,6 @@ enum class ErrorCode {
   kNumericFault,   ///< non-finite / missing model output; watchdog abort
   kTimeout,        ///< per-request deadline exceeded
   kOverloaded,     ///< admission queue full or device unavailable after retries
-  kDegraded,       ///< only a degraded-path result exists and strict mode is on
 };
 
 inline const char* to_string(ErrorCode c) {
@@ -36,7 +35,6 @@ inline const char* to_string(ErrorCode c) {
     case ErrorCode::kNumericFault: return "numeric_fault";
     case ErrorCode::kTimeout:      return "timeout";
     case ErrorCode::kOverloaded:   return "overloaded";
-    case ErrorCode::kDegraded:     return "degraded";
   }
   return "unknown";
 }

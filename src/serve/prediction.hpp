@@ -16,8 +16,7 @@ struct Prediction {
   std::vector<data::Vec3> forces;  ///< eV/A, [N]
   data::Mat3 stress{};             ///< eV/A^3
   std::vector<double> magmom;      ///< mu_B, [N]
-  bool degraded = false;  ///< served by the fp32 fallback, not the int8 path
-  int retries = 0;        ///< transient-fault retries spent
+  int retries = 0;                 ///< transient-fault retries spent
   double latency_ms = 0.0;  ///< measured + simulated (backoff, stragglers)
 };
 

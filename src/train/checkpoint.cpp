@@ -80,16 +80,4 @@ NonFiniteGuard get_guard(nn::PayloadReader& r) {
   return {r.get_f32(), static_cast<index_t>(r.get_u64())};
 }
 
-nn::Section rng_section(const std::string& name, const Rng& rng) {
-  nn::PayloadWriter w;
-  w.put_string(rng.state());
-  return {name, w.take()};
-}
-
-void restore_rng(Rng& rng, const nn::Section& s) {
-  nn::PayloadReader r(s.payload);
-  rng.set_state(r.get_string());
-  FASTCHG_CHECK(r.done(), "checkpoint: rng section has trailing bytes");
-}
-
 }  // namespace fastchg::train

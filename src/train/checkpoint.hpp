@@ -3,9 +3,9 @@
 // nn::serialize handles the weights; the section codecs here persist
 // everything else a bit-identical resume needs: Adam first/second moments
 // and step count, scheduler position (global step + next epoch), the
-// non-finite guard's state, the data-order RNG stream, and the model's
-// AtomRef table.  Trainer and DataParallelTrainer compose these into their
-// save_checkpoint / resume paths.
+// non-finite guard's state, and the model's AtomRef table.  Trainer and
+// DataParallelTrainer compose these into their save_checkpoint / resume
+// paths.
 #pragma once
 
 #include <string>
@@ -23,7 +23,6 @@ struct NonFiniteGuard;
 inline constexpr const char* kSectionAdam = "adam";
 inline constexpr const char* kSectionTrainer = "trainer";
 inline constexpr const char* kSectionAtomRef = "atom_ref";
-inline constexpr const char* kSectionRng = "rng";
 inline constexpr const char* kSectionElastic = "elastic";
 
 /// Find a section by name; nullptr when absent.
@@ -47,9 +46,5 @@ void restore_atom_ref(model::CHGNet& net, const nn::Section& s);
 /// written in place inside the `trainer` and `elastic` sections.
 void put_guard(nn::PayloadWriter& w, const NonFiniteGuard& g);
 NonFiniteGuard get_guard(nn::PayloadReader& r);
-
-/// Serialized Rng engine state.
-nn::Section rng_section(const std::string& name, const Rng& rng);
-void restore_rng(Rng& rng, const nn::Section& s);
 
 }  // namespace fastchg::train

@@ -51,8 +51,7 @@ Trainer::Trainer(model::CHGNet& net, const TrainConfig& cfg)
       init_lr_(cfg.scale_lr ? scaled_init_lr(cfg.batch_size, cfg.lr_k,
                                              cfg.base_lr)
                             : cfg.base_lr),
-      opt_(net.parameters(), init_lr_),
-      shuffle_rng_(cfg.shuffle_seed) {}
+      opt_(net.parameters(), init_lr_) {}
 
 EpochStats Trainer::train_epoch(const data::Dataset& ds,
                                 const std::vector<index_t>& train_idx,
@@ -64,8 +63,7 @@ EpochStats Trainer::train_epoch(const data::Dataset& ds,
   perf::TraceSpan span_epoch("train.epoch", "train");
   EpochStats st;
   std::vector<index_t> order = train_idx;
-  shuffle_rng_ = Rng(cfg_.shuffle_seed + static_cast<std::uint64_t>(epoch));
-  shuffle_rng_.shuffle(order);
+  Rng(cfg_.shuffle_seed + static_cast<std::uint64_t>(epoch)).shuffle(order);
 
   const index_t steps_per_epoch = std::max<index_t>(
       1, (static_cast<index_t>(order.size()) + cfg_.batch_size - 1) /
@@ -94,6 +92,10 @@ EpochStats Trainer::train_epoch(const data::Dataset& ds,
 
   const std::vector<ag::Var> params = net_.parameters();
   index_t micro = 0;
+  // The epoch stats as they stood when the open accumulation window began:
+  // a guard trip drops the window's gradients, so it drops the losses the
+  // window already counted too.
+  EpochStats window_start;
   for (std::size_t step = 0; step < plan.size(); ++step) {
     perf::TraceSpan span_step("train.step", "train");
     // Step-scoped arena: forward activations, graph nodes, gradients and
@@ -107,20 +109,26 @@ EpochStats Trainer::train_epoch(const data::Dataset& ds,
     }();
 
     opt_.set_lr(sched.lr_at(global_step_) * guard_.backoff_scale);
-    if (micro == 0) opt_.zero_grad();
+    if (micro == 0) {
+      opt_.zero_grad();
+      window_start = st;
+    }
 
     // A finite loss can still produce non-finite gradients.
     const StepLoss loss =
         train_step(net_, b, 1.0f / static_cast<float>(accum));
     if (!loss.finite || !gradients_finite(params)) {
       // Training guard: drop this step (and the current accumulation
-      // window) so NaN/Inf never reaches the weights, and back the LR off
-      // for the rest of the run.  The scheduler still advances, keeping
-      // the LR trajectory aligned with the planned step count.
+      // window, losses included) so NaN/Inf never reaches the weights, and
+      // back the LR off for the rest of the run.  The scheduler still
+      // advances, keeping the LR trajectory aligned with the planned step
+      // count.
       opt_.zero_grad();
       micro = 0;
       guard_.trip();
-      ++st.skipped_steps;
+      const index_t skipped = st.skipped_steps + 1;
+      st = window_start;
+      st.skipped_steps = skipped;
       ++global_step_;
       continue;
     }
@@ -220,7 +228,6 @@ void Trainer::save_checkpoint(const std::string& path) const {
   sections.push_back({kSectionTrainer, w.take()});
   sections.push_back(adam_section(opt_));
   sections.push_back(atom_ref_section(net_));
-  sections.push_back(rng_section(kSectionRng, shuffle_rng_));
   nn::save_parameters(net_, path, sections);
 }
 
@@ -235,9 +242,6 @@ void Trainer::resume(const std::string& path) {
   }
   restore_adam(opt_, require_section(sections, kSectionAdam));
   restore_atom_ref(net_, require_section(sections, kSectionAtomRef));
-  if (const nn::Section* s = find_section(sections, kSectionRng)) {
-    restore_rng(shuffle_rng_, *s);
-  }
 }
 
 }  // namespace fastchg::train

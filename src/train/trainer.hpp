@@ -69,6 +69,9 @@ struct TrainConfig {
   index_t accumulation_steps = 1;
 };
 
+/// The losses average over the `iterations` micro-batches whose gradients
+/// reached the weights; a guard trip leaves its whole accumulation window
+/// out.
 struct EpochStats {
   double mean_loss = 0.0;
   double energy_loss = 0.0;
@@ -110,9 +113,10 @@ class Trainer {
                        const std::vector<index_t>& idx) const;
 
   /// Full-state checkpoint: weights, AtomRef, Adam moments, global step,
-  /// epoch position, guard state, and the data-order RNG stream.  Written
-  /// atomically (temp file + rename).  resume() restores all of it so
-  /// continuing the run is bit-identical to never having stopped.
+  /// epoch position and guard state.  Written atomically (temp file +
+  /// rename).  resume() restores all of it so continuing the run is
+  /// bit-identical to never having stopped (the data order is a function
+  /// of shuffle_seed and the epoch, so it needs no saved stream).
   void save_checkpoint(const std::string& path) const;
   void resume(const std::string& path);
 
@@ -141,7 +145,6 @@ class Trainer {
   index_t global_step_ = 0;
   index_t next_epoch_ = 0;
   NonFiniteGuard guard_;
-  Rng shuffle_rng_{0};  ///< data-order stream; reseeded per epoch
   /// Step arena: every step's graph (activations, Nodes, gradients) is
   /// allocated here and recycled on teardown, so after the first step's
   /// warm-up a steady-state step touches the system allocator ~zero times

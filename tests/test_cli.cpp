@@ -108,6 +108,17 @@ TEST(Cli, UnknownFlagFailsWithUsage) {
   }
 }
 
+// The engine has no int8 replica, so serve must reject --quantize and
+// --strict loudly: a script passing them would otherwise believe it got one.
+TEST(Cli, RemovedServeFlagsAreUnknown) {
+  for (const std::string flag : {"--quantize", "--strict"}) {
+    CliResult r = run_cli("serve --requests 4 " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown flag " + flag), std::string::npos)
+        << r.output;
+  }
+}
+
 // `trace <target>` checks the target's flags plus its own before running
 // anything: an unknown flag exits 2 with usage and writes no trace file.
 TEST(Cli, TraceUnknownFlagFailsBeforeRunning) {

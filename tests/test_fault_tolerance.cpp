@@ -149,6 +149,45 @@ TEST(Checkpoint, ResumeEquivalenceSingleDevice) {
   std::filesystem::remove(path);
 }
 
+// Older builds also wrote an `rng` section holding the data-order stream.
+// Trainer derives that order from shuffle_seed + epoch alone, so such a
+// checkpoint still resumes, and the next epoch equals a straight run's.
+TEST(Checkpoint, ResumeIgnoresLegacyRngSection) {
+  data::Dataset ds = small_dataset();
+  auto rows = all_rows(ds);
+  train::TrainConfig tc;
+  tc.batch_size = 4;
+  tc.epochs = 2;
+  tc.prefetch = false;
+
+  model::CHGNet straight(tiny_cfg(), 3);
+  train::Trainer a(straight, tc);
+  a.fit(ds, rows);
+
+  model::CHGNet interrupted(tiny_cfg(), 3);
+  train::Trainer b(interrupted, tc);
+  b.train_epoch(ds, rows, 0);
+  const std::string path = temp_path("fastchg_ft_legacy_rng.bin");
+  b.save_checkpoint(path);
+  model::CHGNet scratch(tiny_cfg(), 5);
+  std::vector<nn::Section> sections = nn::load_checkpoint(scratch, path);
+  ASSERT_EQ(train::find_section(sections, "rng"), nullptr);
+  Rng stale(12345);  // any stream: the resumed epoch must not read it
+  nn::PayloadWriter w;
+  w.put_string(stale.state());
+  sections.push_back({"rng", w.take()});
+  nn::save_parameters(interrupted, path, sections);
+
+  model::CHGNet resumed(tiny_cfg(), 77);
+  train::Trainer c(resumed, tc);
+  c.resume(path);
+  EXPECT_EQ(c.next_epoch(), 1);
+  c.fit(ds, rows);  // epoch 1 only
+
+  EXPECT_EQ(flat_params(straight), flat_params(resumed));
+  std::filesystem::remove(path);
+}
+
 TEST(Checkpoint, SaveIsAtomicAndOverwrites) {
   model::CHGNet net(tiny_cfg(), 5);
   train::TrainConfig tc;

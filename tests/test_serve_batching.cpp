@@ -300,7 +300,7 @@ TEST(BatchFuzz, CorruptedStreamStaysTyped) {
           case ErrorCode::kInvalidInput: ++invalid; break;
           case ErrorCode::kNumericFault: ++faulted; break;
           case ErrorCode::kOverloaded: ++overloaded; break;
-          default: break;  // timeout/degraded: typed, acceptable
+          default: break;  // timeout: typed, acceptable
         }
       }
     }

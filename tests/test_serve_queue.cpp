@@ -8,8 +8,6 @@
 //     replies and identical stats on a fresh engine;
 //   * injected faults on queued requests: retries, exhausted retries,
 //     stragglers, and one request sequence shared with predict();
-//   * the int8 replica under drain: undegraded service, per-request fp32
-//     fallback, strict mode;
 //   * numeric faults: a poisoned model, a poisoned batchmate;
 //   * books: EngineStats reconcile exactly with the reply stream.
 #include <gtest/gtest.h>
@@ -102,7 +100,6 @@ void expect_bit_identical(const Prediction& got, const Prediction& want,
     EXPECT_TRUE(same_bits(got.magmom[i], want.magmom[i]))
         << what << " magmom[" << i << "]";
   }
-  EXPECT_EQ(got.degraded, want.degraded) << what;
   EXPECT_EQ(got.retries, want.retries) << what;
 }
 
@@ -423,81 +420,10 @@ TEST(EngineFaults, PredictAndDrainShareTheRequestSequence) {
   EXPECT_EQ(replies[1].value().retries, 0);
 }
 
-// ---------------------------------------------------------- int8 replica --
-
-// A healthy int8 replica serves the queue undegraded, and drain gives the
-// replies predict() gives on the same replica.
-TEST(EngineQuantized, DrainServesTheReplicaUndegraded) {
-  model::CHGNet net(tiny_config(), 10);
-  EngineConfig cfg;
-  cfg.quantize = true;
-  InferenceEngine reference(net, cfg);
-  InferenceEngine eng(net, cfg);
-  ASSERT_NE(eng.quantized_replica(), nullptr);
-  const auto crystals = seeded_stream(700, 5);
-  auto replies = serve_all(eng, crystals);
-  ASSERT_EQ(replies.size(), crystals.size());
-  for (std::size_t i = 0; i < crystals.size(); ++i) {
-    ASSERT_TRUE(replies[i].ok()) << replies[i].error().message;
-    EXPECT_FALSE(replies[i].value().degraded);
-    auto want = reference.predict(crystals[i]);
-    ASSERT_TRUE(want.ok());
-    expect_near(replies[i].value(), want.value(),
-                "request " + std::to_string(i));
-  }
-  EXPECT_EQ(eng.stats().degraded, 0u);
-}
-
-// A poisoned replica degrades every queued request to the fp32 model, one
-// counted fallback each, and the fallback replies are the fp32 replies.
-TEST(EngineQuantized, PoisonedReplicaFallsBackPerQueuedRequest) {
-  model::CHGNet net(tiny_config(), 10);
-  InferenceEngine fp32(net);
-  EngineConfig cfg;
-  cfg.quantize = true;
-  InferenceEngine eng(net, cfg);
-  poison(*eng.quantized_replica());
-  const std::uint64_t fallbacks = perf::event_count("serve.fp32_fallback");
-  const auto crystals = seeded_stream(710, 4);
-  auto replies = serve_all(eng, crystals);
-  ASSERT_EQ(replies.size(), crystals.size());
-  for (std::size_t i = 0; i < crystals.size(); ++i) {
-    ASSERT_TRUE(replies[i].ok()) << replies[i].error().message;
-    EXPECT_TRUE(replies[i].value().degraded);
-    auto want = fp32.predict(crystals[i]);
-    ASSERT_TRUE(want.ok());
-    expect_near(replies[i].value(), want.value(),
-                "request " + std::to_string(i));
-  }
-  EXPECT_EQ(eng.stats().degraded, crystals.size());
-  EXPECT_EQ(eng.stats().served, crystals.size());
-  EXPECT_EQ(perf::event_count("serve.fp32_fallback"),
-            fallbacks + crystals.size());
-}
-
-// Strict mode refuses every fallback reply with a typed kDegraded.
-TEST(EngineQuantized, StrictDrainAnswersTypedDegraded) {
-  model::CHGNet net(tiny_config(), 10);
-  EngineConfig cfg;
-  cfg.quantize = true;
-  cfg.strict = true;
-  InferenceEngine eng(net, cfg);
-  poison(*eng.quantized_replica());
-  auto replies = serve_all(eng, seeded_stream(720, 3));
-  ASSERT_EQ(replies.size(), 3u);
-  for (const auto& r : replies) {
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.code(), ErrorCode::kDegraded);
-  }
-  EXPECT_EQ(eng.stats().degraded, 3u);
-  EXPECT_EQ(eng.stats().served, 0u);
-}
-
 // --------------------------------------------------------- numeric faults --
 
-// With nothing to fall back to, a poisoned model answers every queued
-// request kNumericFault; bisection splits each fused batch down to single
-// requests before giving up on them.
+// A poisoned model answers every queued request kNumericFault; bisection
+// splits each fused batch down to single requests before giving up on them.
 TEST(EngineFaults, PoisonedModelFailsEveryQueuedRequestTyped) {
   model::CHGNet net(tiny_config(), 11);
   poison(net);
@@ -603,7 +529,6 @@ TEST(EngineStats, CountersReconcileWithReplyStream) {
   EXPECT_EQ(st.numeric_faults, by_code[ErrorCode::kNumericFault]);
   EXPECT_EQ(st.timeouts, by_code[ErrorCode::kTimeout]);
   EXPECT_EQ(st.overloaded, by_code[ErrorCode::kOverloaded]);
-  EXPECT_EQ(by_code[ErrorCode::kDegraded], 0u);
   EXPECT_EQ(st.served + st.rejected_invalid + st.numeric_faults +
                 st.timeouts + st.overloaded,
             st.submitted);

@@ -4,10 +4,13 @@
 // decoupled readouts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
+#include "core/rng.hpp"
 #include "golden_fixtures.hpp"
 #include "train/trainer.hpp"
 
@@ -231,6 +234,53 @@ TEST(GradAccum, StepsOptimizerOncePerAccumWindow) {
   trainer.fit(ds, idx);
   // 6 micro-batches / 3 = 2 optimizer steps.
   EXPECT_EQ(trainer.optimizer().step_count(), 2);
+}
+
+// A guard trip on the second micro-batch of an accumulation window zeroes
+// the first one's gradients too, so neither may count in the epoch stats:
+// `iterations` and `mean_loss` cover exactly the micro-batches whose
+// gradients reached the weights.
+TEST(GradAccum, GuardTripDropsTheWholeWindowFromEpochStats) {
+  data::GeneratorConfig g;
+  g.min_atoms = 3;
+  g.max_atoms = 8;
+  const data::Dataset clean = data::Dataset::generate(32, 2024, g);
+  constexpr index_t kPoisoned = 3;
+  std::vector<data::Crystal> crystals;
+  for (index_t i = 0; i < clean.size(); ++i) {
+    crystals.push_back(clean[i].crystal);
+  }
+  crystals[static_cast<std::size_t>(kPoisoned)].forces[0][1] =
+      std::numeric_limits<double>::quiet_NaN();
+  const data::Dataset ds = data::Dataset::from_crystals(
+      std::move(crystals), clean.graph_config(), {}, /*relabel=*/false);
+  std::vector<index_t> idx;
+  for (index_t i = 0; i < ds.size(); ++i) idx.push_back(i);
+
+  TrainConfig tc;
+  tc.batch_size = 4;  // 32 rows -> 8 micro-batches, 4 windows of 2
+  tc.accumulation_steps = 2;
+  tc.epochs = 1;
+  tc.prefetch = false;
+  // Take the first shuffle seed that puts the poisoned row in the second
+  // micro-batch of a window (epoch 0 shuffles with shuffle_seed + 0).
+  const auto poisoned_micro = [&](std::uint64_t seed) {
+    std::vector<index_t> order = idx;
+    Rng(seed).shuffle(order);
+    const auto at = std::find(order.begin(), order.end(), kPoisoned);
+    return static_cast<index_t>(at - order.begin()) / tc.batch_size;
+  };
+  tc.shuffle_seed = 0;
+  while (poisoned_micro(tc.shuffle_seed) % 2 != 1) ++tc.shuffle_seed;
+
+  model::CHGNet net(tiny_config(true), 23);
+  Trainer trainer(net, tc);
+  const EpochStats st = trainer.train_epoch(ds, idx, 0);
+  EXPECT_EQ(st.skipped_steps, 1);
+  // The poisoned window's two micro-batches never reached the weights.
+  EXPECT_EQ(st.iterations, 6);
+  EXPECT_EQ(trainer.optimizer().step_count(), 3);
+  EXPECT_TRUE(std::isfinite(st.mean_loss));
 }
 
 TEST(GradAccum, StillLearns) {

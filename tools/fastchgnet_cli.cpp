@@ -6,7 +6,7 @@
 //   fastchgnet md       --crystal LiMnO2 --steps 50         run MD
 //   fastchgnet relax    --seed 5                            relax a structure
 //   fastchgnet charges  --seed 5                            infer charges
-//   fastchgnet serve    --requests 200 --quantize           robust inference
+//   fastchgnet serve    --requests 200 --max-batch 8        robust inference
 //   fastchgnet trace dp --devices 4 --fault-plan slow:1@2*3#2   span tracing
 //   fastchgnet info                                         build/config info
 //
@@ -346,8 +346,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   model::CHGNet net(cli_model_config(flags), 42);
 
   serve::EngineConfig cfg;
-  cfg.quantize = flag_b(flags, "quantize");
-  cfg.strict = flag_b(flags, "strict");
   cfg.default_deadline_ms =
       static_cast<double>(flag_i(flags, "deadline-ms", 1000000));
   cfg.max_batch = flag_i(flags, "max-batch", 8);
@@ -362,12 +360,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     std::printf("fault plan: %zu transient event(s) over the request "
                 "stream\n", plan.events.size());
   }
-  if (cfg.quantize) {
-    const model::QuantizationReport& q = eng.quantization_report();
-    std::printf("serving int8 replica (max |err| %.2e, %lld non-finite "
-                "weight(s) clamped), fp32 retained for fallback\n",
-                q.max_abs_error, static_cast<long long>(q.nonfinite));
-  }
 
   Rng rng(seed);
   data::GeneratorConfig gen;
@@ -375,8 +367,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   gen.max_atoms = 12;
   std::map<std::string, index_t> outcomes;
   const auto record = [&](const serve::Result<serve::Prediction>& r) {
-    ++outcomes[r.ok() ? (r.value().degraded ? "served (degraded)" : "served")
-                      : serve::to_string(r.code())];
+    ++outcomes[r.ok() ? "served" : serve::to_string(r.code())];
   };
   // Requests flow through the queued micro-batched pipeline: submit until a
   // full tick is queued, then drain (fused forward of up to max-batch
@@ -403,19 +394,16 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   }
   const serve::EngineStats& st = eng.stats();
   std::printf("stats: served %llu  invalid %llu  numeric %llu  timeout %llu"
-              "  overloaded %llu  retries %llu  degraded %llu\n",
+              "  overloaded %llu  retries %llu\n",
               static_cast<unsigned long long>(st.served),
               static_cast<unsigned long long>(st.rejected_invalid),
               static_cast<unsigned long long>(st.numeric_faults),
               static_cast<unsigned long long>(st.timeouts),
               static_cast<unsigned long long>(st.overloaded),
-              static_cast<unsigned long long>(st.retries),
-              static_cast<unsigned long long>(st.degraded));
-  std::printf("recovery events: retry %llu  fp32_fallback %llu\n",
+              static_cast<unsigned long long>(st.retries));
+  std::printf("recovery events: retry %llu\n",
               static_cast<unsigned long long>(
-                  perf::event_count("serve.retry")),
-              static_cast<unsigned long long>(
-                  perf::event_count("serve.fp32_fallback")));
+                  perf::event_count("serve.retry")));
   std::printf("batching: micro-batches %llu  bisections %llu  isolated "
               "faults %llu\n",
               static_cast<unsigned long long>(st.micro_batches),
@@ -460,8 +448,7 @@ int usage() {
       "  md --crystal NAME --steps N [--nvt --temperature T]\n"
       "  relax --seed S --steps N\n"
       "  charges --seed S              infer oxidation states from magmoms\n"
-      "  serve --requests N [--quantize --strict --deadline-ms D]\n"
-      "        [--max-batch B]\n"
+      "  serve --requests N [--deadline-ms D --max-batch B]\n"
       "        [--fault-plan \"fail:0@3\"]   fuzzed robust-inference demo\n"
       "  trace <train|dp|serve|md> [--trace-out PATH] [--trace-capacity N]\n"
       "        [target flags]  run the target with span tracing on; writes\n"
@@ -498,8 +485,8 @@ const std::map<std::string, Command>& commands() {
       {"relax", {cmd_relax, with_model({"seed", "steps"})}},
       {"charges", {cmd_charges, {"seed"}}},
       {"serve",
-       {cmd_serve, with_model({"requests", "seed", "quantize", "strict",
-                               "deadline-ms", "max-batch", "fault-plan"})}},
+       {cmd_serve, with_model({"requests", "seed", "deadline-ms",
+                               "max-batch", "fault-plan"})}},
   };
   return table;
 }

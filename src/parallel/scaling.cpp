@@ -59,32 +59,17 @@ std::array<double, 4> solve4(std::array<std::array<double, 4>, 4> a,
 
 }  // namespace
 
-CostModel calibrate_cost_model(const model::CHGNet& net,
-                               const data::Dataset& ds,
-                               const std::vector<index_t>& batch_sizes,
-                               int reps_per_size, std::uint64_t seed) {
-  Rng rng(seed);
+CostModel fit_cost_model(const std::vector<CostSample>& samples) {
+  FASTCHG_CHECK(!samples.empty(), "cost-model fit: no samples");
   std::array<std::array<double, 4>, 4> xtx{};
   std::array<double, 4> xty{};
-  for (index_t bs : batch_sizes) {
-    for (int rep = 0; rep < reps_per_size; ++rep) {
-      std::vector<index_t> rows;
-      rows.reserve(static_cast<std::size_t>(bs));
-      for (index_t i = 0; i < bs; ++i) {
-        rows.push_back(rng.randint(0, ds.size() - 1));
-      }
-      data::Batch b = data::collate_indices(ds, rows);
-      perf::Timer t;
-      train::train_step(net, b);
-      const double secs = t.seconds();
-      const std::array<double, 4> feat = {
-          1.0, static_cast<double>(b.num_atoms),
-          static_cast<double>(b.num_edges),
-          static_cast<double>(b.num_angles)};
-      for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 4; ++j) xtx[i][j] += feat[i] * feat[j];
-        xty[i] += feat[i] * secs;
-      }
+  for (const CostSample& s : samples) {
+    const std::array<double, 4> feat = {
+        1.0, static_cast<double>(s.atoms), static_cast<double>(s.bonds),
+        static_cast<double>(s.angles)};
+    for (int i = 0; i < 4; ++i) {
+      for (int j = 0; j < 4; ++j) xtx[i][j] += feat[i] * feat[j];
+      xty[i] += feat[i] * s.seconds;
     }
   }
   // Tikhonov damping keeps the fit stable when the sampled batch sizes give
@@ -96,7 +81,45 @@ CostModel calibrate_cost_model(const model::CHGNet& net,
   cm.per_atom = std::max(0.0, x[1]);
   cm.per_bond = std::max(0.0, x[2]);
   cm.per_angle = std::max(0.0, x[3]);
-  return cm;
+  if (cm.per_atom > 0.0 || cm.per_bond > 0.0 || cm.per_angle > 0.0) {
+    return cm;
+  }
+  // Noise swamped the size signal (a busy host can time a small batch
+  // slower than a large one): charge the measured time per atom instead.
+  double t_atoms = 0.0, atoms_sq = 0.0;
+  for (const CostSample& s : samples) {
+    const double a = static_cast<double>(s.atoms);
+    t_atoms += s.seconds * a;
+    atoms_sq += a * a;
+  }
+  FASTCHG_CHECK(atoms_sq > 0.0 && t_atoms > 0.0,
+                "cost-model fit: no atoms or no measured time");
+  CostModel prop;
+  prop.per_atom = t_atoms / atoms_sq;
+  return prop;
+}
+
+CostModel calibrate_cost_model(const model::CHGNet& net,
+                               const data::Dataset& ds,
+                               const std::vector<index_t>& batch_sizes,
+                               int reps_per_size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<CostSample> samples;
+  for (index_t bs : batch_sizes) {
+    for (int rep = 0; rep < reps_per_size; ++rep) {
+      std::vector<index_t> rows;
+      rows.reserve(static_cast<std::size_t>(bs));
+      for (index_t i = 0; i < bs; ++i) {
+        rows.push_back(rng.randint(0, ds.size() - 1));
+      }
+      data::Batch b = data::collate_indices(ds, rows);
+      perf::Timer t;
+      train::train_step(net, b);
+      samples.push_back(CostSample{b.num_atoms, b.num_edges, b.num_angles,
+                                   t.seconds()});
+    }
+  }
+  return fit_cost_model(samples);
 }
 
 namespace {

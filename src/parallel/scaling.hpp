@@ -30,9 +30,23 @@ struct CostModel {
                        const std::vector<index_t>& rows) const;
 };
 
-/// Fit the cost model by timing train::train_step (forward, loss, backward,
-/// graph teardown) of `net` on randomly drawn batches of the given sizes
-/// (least squares).
+/// One timed step: the batch's totals and its measured wall time.
+struct CostSample {
+  index_t atoms = 0;
+  index_t bonds = 0;
+  index_t angles = 0;
+  double seconds = 0.0;
+};
+
+/// Least-squares fit of the cost model to timed steps, coefficients clamped
+/// at 0.  When timing noise leaves no positive size term, the fit falls back
+/// to t = per_atom * atoms through the origin, so the model never ignores the
+/// workload it is asked to price.
+CostModel fit_cost_model(const std::vector<CostSample>& samples);
+
+/// Fit the cost model (fit_cost_model) by timing train::train_step (forward,
+/// loss, backward, graph teardown) of `net` on randomly drawn batches of the
+/// given sizes.
 CostModel calibrate_cost_model(const model::CHGNet& net,
                                const data::Dataset& ds,
                                const std::vector<index_t>& batch_sizes,

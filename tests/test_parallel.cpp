@@ -396,6 +396,45 @@ TEST(Scaling, CostModelPredictsPositiveAndMonotone) {
   EXPECT_GT(big, small);
 }
 
+TEST(Scaling, FitRecoversAnExactLinearCost) {
+  CostModel want;
+  want.fixed = 2e-4;
+  want.per_atom = 1e-5;
+  want.per_bond = 3e-6;
+  want.per_angle = 5e-7;
+  std::vector<CostSample> samples;
+  for (index_t a = 4; a <= 64; a += 12) {
+    for (index_t b = 2 * a; b <= 12 * a; b += 5 * a) {
+      const index_t g = (a * b) % 97 + 3 * b;
+      samples.push_back(CostSample{a, b, g, want.predict(a, b, g)});
+    }
+  }
+  const CostModel got = fit_cost_model(samples);
+  EXPECT_NEAR(got.fixed, want.fixed, 1e-3 * want.fixed);
+  EXPECT_NEAR(got.per_atom, want.per_atom, 1e-3 * want.per_atom);
+  EXPECT_NEAR(got.per_bond, want.per_bond, 1e-3 * want.per_bond);
+  EXPECT_NEAR(got.per_angle, want.per_angle, 1e-3 * want.per_angle);
+}
+
+// Timings that fall as batches grow (a busy host stalling the small ones)
+// clamp every size term to 0; the fit must still price work by its atoms.
+TEST(Scaling, FitWithoutSizeSignalStillScalesWithAtoms) {
+  std::vector<CostSample> samples;
+  for (index_t a = 8; a <= 64; a *= 2) {
+    samples.push_back(
+        CostSample{a, 10 * a, 30 * a, 1.0 / static_cast<double>(a)});
+  }
+  const CostModel cm = fit_cost_model(samples);
+  EXPECT_EQ(cm.fixed, 0.0);
+  EXPECT_EQ(cm.per_bond, 0.0);
+  EXPECT_EQ(cm.per_angle, 0.0);
+  // Least squares through the origin: sum(t * a) / sum(a^2).
+  EXPECT_NEAR(cm.per_atom, 4.0 / (64.0 + 256.0 + 1024.0 + 4096.0), 1e-15);
+  const double small = cm.predict(10, 100, 200);
+  EXPECT_GT(small, 0.0);
+  EXPECT_GT(cm.predict(100, 1000, 2000), small);
+}
+
 TEST(Scaling, StrongScalingShapeMatchesPaper) {
   // With a calibrated-like cost model and the default comm parameters the
   // curve must show: monotone speedup, sub-linear efficiency, efficiency

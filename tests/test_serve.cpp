@@ -346,6 +346,40 @@ TEST(Engine, PoisonedModelIsNumericFault) {
   EXPECT_EQ(eng.stats().numeric_faults, 1u);
 }
 
+// A deadline equal to the simulated latency passes admission, so only the
+// forward's own wall time can blow it: the check after the forward fires.
+TEST(Engine, DeadlineBlownByTheForwardTimesOutAfterIt) {
+  model::CHGNet net(tiny_config(true), 5);
+  EngineConfig cfg;
+  cfg.base_latency_ms = 5.0;
+  InferenceEngine eng(net, cfg);
+  auto r = eng.predict(small_crystal(), /*deadline_ms=*/5.0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), ErrorCode::kTimeout);
+  EXPECT_EQ(r.error().message.find("before forward"), std::string::npos)
+      << r.error().message;
+  EXPECT_NE(r.error().message.find("ms exceeded ("), std::string::npos)
+      << r.error().message;
+  EXPECT_EQ(eng.stats().timeouts, 1u);
+  EXPECT_EQ(eng.stats().served, 0u);
+}
+
+// The same blown deadline on a poisoned model: the reply names the numeric
+// fault, which is checked first, and only that tally moves.
+TEST(Engine, NumericFaultOutranksABlownDeadline) {
+  model::CHGNet net(tiny_config(true), 6);
+  poison(net);
+  EngineConfig cfg;
+  cfg.base_latency_ms = 5.0;
+  InferenceEngine eng(net, cfg);
+  auto r = eng.predict(small_crystal(), /*deadline_ms=*/5.0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), ErrorCode::kNumericFault);
+  EXPECT_EQ(eng.stats().numeric_faults, 1u);
+  EXPECT_EQ(eng.stats().timeouts, 0u);
+  EXPECT_EQ(eng.stats().served, 0u);
+}
+
 TEST(Engine, QueueOverloadAndDrain) {
   model::CHGNet net(tiny_config(true), 5);
   EngineConfig cfg;

@@ -16,7 +16,7 @@
 // where the comm model says scaling dies (efficiency < 50%).
 #include "bench_common.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "parallel/scaling.hpp"
 
@@ -57,30 +57,6 @@ void print_extended(const char* title,
                 1e6 * h.reduce_scatter_s, 1e6 * h.leader_ring_s,
                 1e6 * h.broadcast_s, ratio);
   }
-}
-
-/// Deterministic sampler-balance CoV: coefficient of variation of the
-/// integer workload proxy across the devices of each iteration, averaged
-/// over the plan.  Pure integer arithmetic on the seeded shard plan, so it
-/// gates at the tight tolerance (unlike the calibrated-seconds CoV).
-double plan_load_cov(const parallel::ShardPlan& plan,
-                     const std::vector<index_t>& loads) {
-  double cov_sum = 0.0;
-  for (const auto& shards : plan.iterations) {
-    double sum = 0.0, sumsq = 0.0;
-    for (const auto& shard : shards) {
-      double l = 0.0;
-      for (index_t r : shard) l += static_cast<double>(loads[static_cast<std::size_t>(r)]);
-      sum += l;
-      sumsq += l * l;
-    }
-    const double np = static_cast<double>(shards.size());
-    const double mean = sum / np;
-    if (mean > 0.0) {
-      cov_sum += std::sqrt(std::max(0.0, sumsq / np - mean * mean)) / mean;
-    }
-  }
-  return cov_sum / static_cast<double>(plan.iterations.size());
 }
 
 int run(int argc, char** argv) {
@@ -214,7 +190,9 @@ int run(int argc, char** argv) {
   rec.metric("comm.hier.gpus256.leader_ring.us", 1e6 * top.leader_ring_s);
   rec.metric("comm.hier.gpus256.broadcast.us", 1e6 * top.broadcast_s);
 
-  // Deterministic sampler-balance CoV from the integer workload proxy.
+  // Deterministic sampler-balance CoV: the sampler's own statistic on the
+  // integer workload proxy of the seeded shard plan, so it gates at the
+  // tight tolerance (unlike the calibrated-seconds CoV).
   {
     const std::vector<index_t> rows_all = [&] {
       std::vector<index_t> r(static_cast<std::size_t>(ds.size()));
@@ -229,7 +207,7 @@ int run(int argc, char** argv) {
       scfg.seed = xcfg.seed;
       ShardPlan plan = load_balance_sharding(rows_all, loads, scfg);
       rec.metric("cov.loadbalance.gpus" + std::to_string(p),
-                 plan_load_cov(plan, loads));
+                 analyze_plan(plan, loads).mean_cov);
     }
   }
 
@@ -255,7 +233,7 @@ int run(int argc, char** argv) {
               "flat past one node\n",
               shape_ok ? "OK" : "MISMATCH");
   rec.finish();
-  return 0;
+  return shape_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -1,23 +1,8 @@
 #include "core/rng.hpp"
 
 #include <algorithm>
-#include <sstream>
-
-#include "core/error.hpp"
 
 namespace fastchg {
-
-std::string Rng::state() const {
-  std::ostringstream os;
-  os << engine_;
-  return os.str();
-}
-
-void Rng::set_state(const std::string& s) {
-  std::istringstream is(s);
-  is >> engine_;
-  FASTCHG_CHECK(!is.fail(), "Rng::set_state: malformed engine state");
-}
 
 double Rng::uniform(double lo, double hi) {
   std::uniform_real_distribution<double> d(lo, hi);

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "core/tensor.hpp"
@@ -31,13 +30,6 @@ class Rng {
 
   void fill_uniform(Tensor& t, float lo, float hi);
   void fill_normal(Tensor& t, float mean, float stddev);
-
-  /// Serialized engine state (checkpointing).  `set_state` restores a stream
-  /// saved with `state` so the sequence of draws continues exactly.
-  std::string state() const;
-  void set_state(const std::string& s);
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

@@ -10,9 +10,12 @@
 // Overlap accounting mirrors the paper's "Communication Overlap" and "Data
 // Prefetch" optimizations: bucketed all-reduce hides up to a fraction of the
 // backward pass; prefetch hides host-to-device copies behind compute.
+// `step_timing` is the one ledger that prices a synchronous step from these
+// rules; the Fig. 10 simulator and DataParallelTrainer both call it.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace fastchg::parallel {
 
@@ -23,11 +26,6 @@ struct CommConfig {
   double inter_latency = 25e-6;  ///< s per fat-tree hop (alpha_inter)
   int gpus_per_node = 4;         ///< paper: 4 GPUs used per node
   double h2d_bw = 24e9;          ///< B/s PCIe host-to-device
-  /// Gradient bucketing: the model's many small parameter tensors are
-  /// reduced in `buckets` separate all-reduce calls (DDP-style).  Each call
-  /// pays the full ring latency; only the bandwidth part can hide behind
-  /// the backward pass.
-  int buckets = 40;
   /// Two-level all-reduce when the ring spans nodes: reduce-scatter within
   /// each node over NVLink, ring the node leaders over the fat-tree, then
   /// broadcast the result back intra-node (NCCL-style).  Cheaper than a
@@ -44,7 +42,8 @@ double ring_allreduce_seconds(std::uint64_t bytes, int num_devices,
                               const CommConfig& cfg = {});
 
 /// Bucketed all-reduce cost, split into the overlappable bandwidth part and
-/// the per-bucket latency part that stays exposed.  When the two-level
+/// the latency part that every one of the `buckets` DDP-style calls pays
+/// and that stays exposed.  When the two-level
 /// schedule is active the three phase fields decompose the same total
 /// (reduce_scatter_s + leader_ring_s + broadcast_s == total()); they stay
 /// zero for flat or single-node rings.
@@ -57,18 +56,52 @@ struct AllReduceCost {
   double total() const { return bandwidth_s + latency_s; }
 };
 AllReduceCost bucketed_allreduce_cost(std::uint64_t bytes, int num_devices,
+                                      int buckets,
                                       const CommConfig& cfg = {});
 
-/// Exposed (non-hidden) communication when gradient bucketing overlaps the
-/// all-reduce with up to `overlap_fraction` of the backward pass.
-double exposed_comm_seconds(double comm_s, double backward_s, bool overlap,
-                            double overlap_fraction = 0.8);
+/// The simulated timing of one synchronous data-parallel step.
+struct IterationTiming {
+  std::vector<double> device_compute_s;  ///< per device in the ring
+  double max_compute_s = 0.0;
+  double comm_s = 0.0;          ///< raw all-reduce time (model)
+  double exposed_comm_s = 0.0;  ///< after overlap
+  double h2d_s = 0.0;
+  double exposed_h2d_s = 0.0;
+  double recovery_s = 0.0;      ///< ring re-form + re-broadcast charged here
+  double join_s = 0.0;          ///< join re-form + state broadcast charged here
+  double step_s = 0.0;          ///< simulated wall time of the step
+  int num_alive = 0;            ///< ring size during this iteration
+};
 
-/// Host-to-device copy time for `bytes`.
-double h2d_seconds(std::uint64_t bytes, const CommConfig& cfg = {});
+/// The step ledger: step_s = max_compute + exposed all-reduce of
+/// `gradient_bytes` over a ring of `device_compute_s.size()` devices +
+/// exposed H2D copy of the largest shard + recovery + join.  The compute
+/// already carries any fault or straggler factor.
+IterationTiming step_timing(std::vector<double> device_compute_s,
+                            std::uint64_t max_shard_bytes,
+                            std::uint64_t gradient_bytes, int buckets,
+                            const CommConfig& cfg, bool overlap_comm,
+                            bool prefetch, double recovery_s = 0.0,
+                            double join_s = 0.0);
 
-/// Exposed copy time with/without the prefetch pipeline (double-buffering
-/// hides the copy behind the previous iteration's compute).
-double exposed_h2d_seconds(double copy_s, double compute_s, bool prefetch);
+/// Cost of shrinking the ring to `ring_size` and re-syncing `bytes` over it.
+double recovery_cost_seconds(int ring_size, std::uint64_t bytes,
+                             const CommConfig& cfg);
+
+/// Cost of growing the ring to `ring_size` and streaming `state_bytes` to
+/// the joiner(s).
+double join_cost_seconds(int ring_size, std::uint64_t state_bytes,
+                         const CommConfig& cfg);
+
+/// One span of a device's simulated-time lane.
+struct LaneSpan {
+  const char* name;
+  double seconds;
+};
+
+/// Device `d`'s lane through one step: compute, slack waiting for the
+/// slowest device, exposed all-reduce, exposed H2D, recovery, join.  Empty
+/// spans are left out; the rest sum to `it.step_s` (to one rounding).
+std::vector<LaneSpan> device_lane(const IterationTiming& it, std::size_t d);
 
 }  // namespace fastchg::parallel

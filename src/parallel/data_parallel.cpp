@@ -1,6 +1,7 @@
 #include "parallel/data_parallel.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "perf/timer.hpp"
 #include "perf/trace.hpp"
@@ -8,6 +9,23 @@
 #include "train/checkpoint.hpp"
 
 namespace fastchg::parallel {
+
+namespace {
+
+/// Emit each device's simulated-time lane for one step from `start_s`;
+/// `devices[d]` ran `it.device_compute_s[d]`.
+void trace_lanes(const std::vector<int>& devices, const IterationTiming& it,
+                 double start_s) {
+  for (std::size_t d = 0; d < it.device_compute_s.size(); ++d) {
+    double t = start_s;
+    for (const LaneSpan& span : device_lane(it, d)) {
+      perf::trace_sim_span(span.name, "device", devices[d], t, span.seconds);
+      t += span.seconds;
+    }
+  }
+}
+
+}  // namespace
 
 DataParallelTrainer::DataParallelTrainer(const model::ModelConfig& mcfg,
                                          const DataParallelConfig& cfg,
@@ -42,31 +60,6 @@ void DataParallelTrainer::rescale_lr() {
                                                  cfg_.base_lr)
                          : cfg_.base_lr;
   opt_.set_lr(base * guard_.backoff_scale);
-}
-
-double DataParallelTrainer::join_cost_seconds(
-    std::uint64_t state_bytes) const {
-  // Re-forming the enlarged ring costs the same barrier as a shrink, plus
-  // the full-state broadcast a real joiner receives from the lead (params +
-  // both Adam moments), paid at the slower tier once the grown ring spans
-  // nodes: a joiner generally lands wherever the scheduler has capacity.
-  const int p = num_alive();
-  const bool spans = p > cfg_.comm.gpus_per_node;
-  const double bw = spans ? cfg_.comm.inter_node_bw : cfg_.comm.intra_node_bw;
-  const double lat = spans ? cfg_.comm.inter_latency : cfg_.comm.latency;
-  return 2.0 * (p - 1) * cfg_.comm.latency + lat +
-         static_cast<double>(state_bytes) / bw;
-}
-
-double DataParallelTrainer::recovery_cost_seconds() const {
-  // Re-forming the ring costs a barrier over the survivors (NCCL-style
-  // communicator re-init, charged as one latency per hop in each
-  // direction) plus a parameter re-broadcast so every survivor provably
-  // holds the same weights -- same traffic shape as one all-reduce.
-  const int p = num_alive();
-  if (p <= 1) return 2.0 * cfg_.comm.latency;  // lone survivor: barrier only
-  return 2.0 * (p - 1) * cfg_.comm.latency +
-         ring_allreduce_seconds(gradient_bytes(), p, cfg_.comm);
 }
 
 void DataParallelTrainer::accumulate_device_gradients() {
@@ -174,7 +167,8 @@ EpochResult DataParallelTrainer::train_epoch(
                         << iter << " of epoch " << epoch);
       const std::vector<index_t> remaining = collect_remaining();
       rescale_lr();
-      const double reform = recovery_cost_seconds();
+      const double reform =
+          recovery_cost_seconds(num_alive(), gradient_bytes(), cfg_.comm);
       pending_recovery_s += reform;
       result.recovery_seconds += reform;
       plan = make_plan(remaining);
@@ -203,8 +197,8 @@ EpochResult DataParallelTrainer::train_epoch(
       }
       std::sort(alive_.begin(), alive_.end());
       rescale_lr();
-      const double cost =
-          join_cost_seconds(3 * gradient_bytes() * joined.size());
+      const double cost = join_cost_seconds(
+          num_alive(), 3 * gradient_bytes() * joined.size(), cfg_.comm);
       pending_join_s += cost;
       result.join_seconds += cost;
       plan = make_plan(collect_remaining());
@@ -213,9 +207,7 @@ EpochResult DataParallelTrainer::train_epoch(
     }
 
     const auto& shards = plan.iterations[pos];
-    IterationTiming it;
-    it.num_alive = num_alive();
-    it.device_compute_s.resize(shards.size());
+    std::vector<double> device_compute_s(shards.size());
     std::uint64_t max_bytes = 0;
     bool finite = true;
     const double loss_sum_before = loss_sum;
@@ -235,7 +227,7 @@ EpochResult DataParallelTrainer::train_epoch(
       loss_sum += loss.total;
       ++loss_count;
       finite = finite && loss.finite;
-      it.device_compute_s[d] =
+      device_compute_s[d] =
           t.seconds() * inj.compute_multiplier(alive_[d], iter);
       max_bytes = std::max(max_bytes, shard_bytes(ds, shards[d]));
       accumulate_device_gradients();
@@ -262,68 +254,20 @@ EpochResult DataParallelTrainer::train_epoch(
       opt_.step();
     }
 
-    it.max_compute_s = *std::max_element(it.device_compute_s.begin(),
-                                         it.device_compute_s.end());
     CommConfig comm_cfg = cfg_.comm;
-    comm_cfg.buckets = num_buckets_;
     const double degrade = inj.comm_factor(iter);
     comm_cfg.intra_node_bw /= degrade;
     comm_cfg.inter_node_bw /= degrade;
     comm_cfg.latency *= degrade;
-    const AllReduceCost cost =
-        bucketed_allreduce_cost(gradient_bytes(), num_alive(), comm_cfg);
-    it.comm_s = cost.total();
-    // Backward is roughly 2/3 of fwd+bwd compute; the bucketed all-reduce's
-    // bandwidth part can hide inside it, the per-bucket latency cannot.
-    it.exposed_comm_s =
-        cfg_.overlap_comm
-            ? exposed_comm_seconds(cost.bandwidth_s, 0.66 * it.max_compute_s,
-                                   true) +
-                  cost.latency_s
-            : cost.total();
-    it.h2d_s = h2d_seconds(max_bytes, comm_cfg);
-    it.exposed_h2d_s =
-        exposed_h2d_seconds(it.h2d_s, it.max_compute_s, cfg_.prefetch);
-    it.recovery_s = pending_recovery_s;
-    pending_recovery_s = 0.0;
-    it.join_s = pending_join_s;
-    pending_join_s = 0.0;
-    it.step_s = it.max_compute_s + it.exposed_comm_s + it.exposed_h2d_s +
-                it.recovery_s + it.join_s;
-    // Per-device simulated-time lanes: each alive device's spans tile its
-    // lane exactly — compute, then slack waiting for the straggler, then the
-    // exposed comm/H2D and any recovery — so every lane advances by step_s
-    // and the trace is an independent witness of the timing ledger.
+    IterationTiming it = step_timing(
+        std::move(device_compute_s), max_bytes, gradient_bytes(),
+        num_buckets_, comm_cfg, cfg_.overlap_comm, cfg_.prefetch,
+        std::exchange(pending_recovery_s, 0.0),
+        std::exchange(pending_join_s, 0.0));
+    // Per-device simulated-time lanes tile each step, so the trace is an
+    // independent witness of the timing ledger.
     if (perf::trace_enabled()) {
-      for (std::size_t d = 0; d < shards.size(); ++d) {
-        const int dev = alive_[d];
-        double t = sim_trace_cursor_s_;
-        perf::trace_sim_span("compute", "device", dev, t,
-                             it.device_compute_s[d]);
-        t += it.device_compute_s[d];
-        const double slack = it.max_compute_s - it.device_compute_s[d];
-        if (slack > 0.0) {
-          perf::trace_sim_span("straggler_slack", "device", dev, t, slack);
-          t += slack;
-        }
-        if (it.exposed_comm_s > 0.0) {
-          perf::trace_sim_span("allreduce_exposed", "device", dev, t,
-                               it.exposed_comm_s);
-          t += it.exposed_comm_s;
-        }
-        if (it.exposed_h2d_s > 0.0) {
-          perf::trace_sim_span("h2d_exposed", "device", dev, t,
-                               it.exposed_h2d_s);
-          t += it.exposed_h2d_s;
-        }
-        if (it.recovery_s > 0.0) {
-          perf::trace_sim_span("recovery", "device", dev, t, it.recovery_s);
-          t += it.recovery_s;
-        }
-        if (it.join_s > 0.0) {
-          perf::trace_sim_span("join", "device", dev, t, it.join_s);
-        }
-      }
+      trace_lanes(alive_, it, sim_trace_cursor_s_);
       sim_trace_cursor_s_ += it.step_s;
     }
     result.simulated_seconds += it.step_s;
@@ -333,19 +277,12 @@ EpochResult DataParallelTrainer::train_epoch(
   }
   // Recovery/join cost charged but never attached to a step (an elastic
   // transition on the last iteration) still counts toward the epoch.
-  if (perf::trace_enabled() &&
-      (pending_recovery_s > 0.0 || pending_join_s > 0.0)) {
-    for (int dev : alive_) {
-      double t = sim_trace_cursor_s_;
-      if (pending_recovery_s > 0.0) {
-        perf::trace_sim_span("recovery", "device", dev, t,
-                             pending_recovery_s);
-        t += pending_recovery_s;
-      }
-      if (pending_join_s > 0.0) {
-        perf::trace_sim_span("join", "device", dev, t, pending_join_s);
-      }
-    }
+  if (perf::trace_enabled()) {
+    IterationTiming tail;
+    tail.device_compute_s.assign(alive_.size(), 0.0);
+    tail.recovery_s = pending_recovery_s;
+    tail.join_s = pending_join_s;
+    trace_lanes(alive_, tail, sim_trace_cursor_s_);
     sim_trace_cursor_s_ += pending_recovery_s + pending_join_s;
   }
   result.simulated_seconds += pending_recovery_s + pending_join_s;

@@ -10,9 +10,9 @@
 // then added into one sum buffer per parameter in ascending device order.
 // The all-reduce scales the sum by 1/P and hands it to the optimizer -- the
 // arithmetic NCCL would do, in the same order, so the result is bitwise
-// what P replicas would hold.  The per-device compute is *measured*, the
-// all-reduce wall time comes from the ring cost model, and the simulated
-// step time is
+// what P replicas would hold.  The per-device compute is *measured*, and
+// the comm model's step ledger (parallel::step_timing) prices the simulated
+// step as
 //     max_d(compute_d) + exposed_allreduce + exposed_h2d.
 //
 // Fault tolerance (see fault.hpp and docs/virtual_cluster.md):
@@ -55,19 +55,6 @@ struct DataParallelConfig {
   index_t lr_k = 128;
   bool fit_atom_ref = true;  ///< fit the AtomRef baseline on first epoch
   std::uint64_t seed = 0;
-};
-
-struct IterationTiming {
-  std::vector<double> device_compute_s;  ///< measured per *alive* device
-  double max_compute_s = 0.0;
-  double comm_s = 0.0;          ///< raw all-reduce time (model)
-  double exposed_comm_s = 0.0;  ///< after overlap
-  double h2d_s = 0.0;
-  double exposed_h2d_s = 0.0;
-  double recovery_s = 0.0;      ///< ring re-form + re-broadcast charged here
-  double join_s = 0.0;          ///< join re-form + state broadcast charged here
-  double step_s = 0.0;          ///< simulated wall time of the step
-  int num_alive = 0;            ///< ring size during this iteration
 };
 
 struct EpochResult {
@@ -120,9 +107,6 @@ class DataParallelTrainer {
   /// Bytes of gradient traffic per all-reduce (= model size in bytes).
   std::uint64_t gradient_bytes() const;
 
-  /// DDP-style gradient buckets used by the comm-cost accounting.
-  int num_gradient_buckets() const { return num_buckets_; }
-
   /// Always-empty replay statistics (see perf::ReplayCacheStub).
   perf::ReplayCacheStub replay_cache(int) const { return {}; }
 
@@ -133,11 +117,6 @@ class DataParallelTrainer {
   void all_reduce_gradients();
   /// Set the Eq.-14 LR for the current ring size, including guard backoff.
   void rescale_lr();
-  /// Simulated cost of shrinking the ring and re-syncing parameters.
-  double recovery_cost_seconds() const;
-  /// Simulated cost of re-forming the enlarged ring plus streaming
-  /// `state_bytes` of full training state lead -> joiner(s).
-  double join_cost_seconds(std::uint64_t state_bytes) const;
 
   DataParallelConfig cfg_;
   /// Simulated-clock cursor for the trace's per-device timeline lanes

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 
 #include "perf/timer.hpp"
 #include "train/trainer.hpp"
@@ -124,6 +125,10 @@ CostModel calibrate_cost_model(const model::CHGNet& net,
 
 namespace {
 
+/// All-reduce calls per step.  There is no parameter list to bucket here (the
+/// trainer counts its own), so Fig. 10 keeps the count it was recorded with.
+constexpr int kAllReduceBuckets = 40;
+
 std::vector<ScalingPoint> simulate(const CostModel& cost,
                                    const data::Dataset& ds,
                                    std::uint64_t model_bytes,
@@ -155,17 +160,17 @@ std::vector<ScalingPoint> simulate(const CostModel& cost,
     const double straggler =
         1.0 + cfg.straggler_sigma *
                   std::sqrt(2.0 * std::log(static_cast<double>(p)));
-    // The comm cost depends only on (bytes, ring size), not the iteration.
-    const AllReduceCost comm = bucketed_allreduce_cost(model_bytes, p,
-                                                       cfg.comm);
     double epoch = 0.0, comm_exposed_sum = 0.0, cov_sum = 0.0;
     for (const auto& shards : plan.iterations) {
-      double max_compute = 0.0, sum = 0.0, sumsq = 0.0;
-      for (const auto& shard : shards) {
-        const double c = cost.shard_seconds(ds, shard) * cfg.compute_scale;
-        max_compute = std::max(max_compute, c);
+      std::vector<double> compute(shards.size());
+      std::uint64_t max_bytes = 0;
+      double sum = 0.0, sumsq = 0.0;
+      for (std::size_t d = 0; d < shards.size(); ++d) {
+        const double c = cost.shard_seconds(ds, shards[d]) * cfg.compute_scale;
         sum += c;
         sumsq += c * c;
+        compute[d] = c * straggler;
+        max_bytes = std::max(max_bytes, shard_bytes(ds, shards[d]));
       }
       const double np = static_cast<double>(shards.size());
       const double mean = sum / np;
@@ -173,18 +178,16 @@ std::vector<ScalingPoint> simulate(const CostModel& cost,
         const double var = std::max(0.0, sumsq / np - mean * mean);
         cov_sum += std::sqrt(var) / mean;
       }
-      max_compute *= straggler;
-      // Only the bandwidth part can hide behind the backward pass; the
-      // per-bucket ring latency stays exposed.
-      const double exposed =
-          cfg.overlap_comm
-              ? exposed_comm_seconds(comm.bandwidth_s, 0.66 * max_compute,
-                                     true) +
-                    comm.latency_s
-              : comm.total();
-      epoch += max_compute + exposed;
-      comm_exposed_sum += exposed;
+      const IterationTiming it =
+          step_timing(std::move(compute), max_bytes, model_bytes,
+                      kAllReduceBuckets, cfg.comm, cfg.overlap_comm,
+                      /*prefetch=*/true);
+      epoch += it.step_s;
+      comm_exposed_sum += it.exposed_comm_s;
     }
+    // The comm-model breakdown depends only on (bytes, ring size).
+    const AllReduceCost comm =
+        bucketed_allreduce_cost(model_bytes, p, kAllReduceBuckets, cfg.comm);
     ScalingPoint pt;
     pt.devices = p;
     pt.epoch_seconds = epoch;

@@ -10,6 +10,8 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "golden_fixtures.hpp"
 #include "parallel/data_parallel.hpp"
@@ -155,26 +157,165 @@ TEST(CommModel, HierarchicalBeatsFlatAcrossNodes) {
   hier.hierarchical = true;
   const std::uint64_t bytes = 4 * 429046;
   for (int p : {8, 16, 32}) {
-    const auto f = bucketed_allreduce_cost(bytes, p, flat);
-    const auto h = bucketed_allreduce_cost(bytes, p, hier);
+    const auto f = bucketed_allreduce_cost(bytes, p, 40, flat);
+    const auto h = bucketed_allreduce_cost(bytes, p, 40, hier);
     EXPECT_LT(h.total(), f.total()) << p << " devices";
   }
   // Within one node the two agree.
-  const auto a = bucketed_allreduce_cost(bytes, 4, flat);
-  const auto b = bucketed_allreduce_cost(bytes, 4, hier);
+  const auto a = bucketed_allreduce_cost(bytes, 4, 40, flat);
+  const auto b = bucketed_allreduce_cost(bytes, 4, 40, hier);
   EXPECT_DOUBLE_EQ(a.total(), b.total());
 }
 
-TEST(CommModel, OverlapHidesComm) {
-  EXPECT_DOUBLE_EQ(exposed_comm_seconds(0.01, 1.0, true), 0.0);
-  EXPECT_NEAR(exposed_comm_seconds(0.9, 1.0, true, 0.8), 0.1, 1e-12);
-  EXPECT_DOUBLE_EQ(exposed_comm_seconds(0.9, 1.0, false), 0.9);
+// ---------------------------------------------------------------------------
+// step ledger: hand-built inputs with binary-exact values, checked with
+// EXPECT_EQ -- no wall clock involved.
+// ---------------------------------------------------------------------------
+
+// A 2-device ring in one node moving 1 MB at 4 MB/s: the all-reduce's
+// bandwidth part is 2*(1/2) * 1e6 / 4e6 = 0.25 s, and 3 buckets at
+// 2^-4 s per hop give a latency part of 3 * 2 * 0.0625 = 0.375 s.
+constexpr std::uint64_t kLedgerBytes = 1'000'000;
+constexpr int kLedgerBuckets = 3;
+
+CommConfig ledger_comm(double latency = 0.0625) {
+  CommConfig cfg;
+  cfg.intra_node_bw = 4e6;
+  cfg.latency = latency;
+  cfg.h2d_bw = 4e6;
+  return cfg;
 }
 
-TEST(CommModel, PrefetchHidesCopies) {
-  EXPECT_DOUBLE_EQ(exposed_h2d_seconds(0.005, 0.5, true), 0.0);
-  EXPECT_DOUBLE_EQ(exposed_h2d_seconds(0.005, 0.5, false), 0.005);
-  EXPECT_NEAR(exposed_h2d_seconds(0.7, 0.5, true), 0.2, 1e-12);
+IterationTiming ledger_step(std::vector<double> compute, bool overlap,
+                            bool prefetch, std::uint64_t shard_bytes = 0,
+                            const CommConfig& cfg = ledger_comm(),
+                            double recovery_s = 0.0, double join_s = 0.0) {
+  return step_timing(std::move(compute), shard_bytes, kLedgerBytes,
+                     kLedgerBuckets, cfg, overlap, prefetch, recovery_s,
+                     join_s);
+}
+
+TEST(Ledger, StragglerSetsMaxComputeAndEveryOtherDevicesSlack) {
+  const IterationTiming it =
+      ledger_step({0.25, 2.0, 0.5, 0.125}, true, true);
+  EXPECT_EQ(it.num_alive, 4);
+  EXPECT_EQ(it.max_compute_s, 2.0);
+  EXPECT_EQ(it.step_s, 2.0 + it.exposed_comm_s);
+  const std::vector<double> slack = {1.75, 0.0, 1.5, 1.875};
+  for (std::size_t d = 0; d < 4; ++d) {
+    const std::vector<LaneSpan> lane = device_lane(it, d);
+    ASSERT_FALSE(lane.empty());
+    EXPECT_STREQ(lane[0].name, "compute");
+    EXPECT_EQ(lane[0].seconds, it.device_compute_s[d]);
+    const bool has_slack =
+        lane.size() > 1 && std::strcmp(lane[1].name, "straggler_slack") == 0;
+    EXPECT_EQ(has_slack, slack[d] > 0.0) << "device " << d;
+    if (has_slack) {
+      EXPECT_EQ(lane[1].seconds, slack[d]) << "device " << d;
+    }
+  }
+}
+
+TEST(Ledger, OverlapHidesTheBandwidthPartNeverTheLatency) {
+  // Plenty of backward: the 0.25 s bandwidth part hides, the 0.375 s
+  // per-bucket latency stays exposed.
+  const IterationTiming hidden = ledger_step({2.0, 2.0}, true, true);
+  EXPECT_EQ(hidden.comm_s, 0.625);
+  EXPECT_EQ(hidden.exposed_comm_s, 0.375);
+  // With no ring latency the whole all-reduce hides.
+  EXPECT_EQ(ledger_step({2.0, 2.0}, true, true, 0, ledger_comm(0.0))
+                .exposed_comm_s,
+            0.0);
+  // A short backward (2/3 of compute, 80 % of it overlappable) hides part
+  // of the bandwidth.
+  const IterationTiming part = ledger_step({0.25, 0.25}, true, true);
+  EXPECT_EQ(part.exposed_comm_s, (0.25 - 0.8 * (0.66 * 0.25)) + 0.375);
+  EXPECT_NEAR(part.exposed_comm_s, 0.118 + 0.375, 1e-12);
+  // Without overlap every second of the all-reduce is exposed.
+  const IterationTiming serial = ledger_step({2.0, 2.0}, false, true);
+  EXPECT_EQ(serial.exposed_comm_s, 0.625);
+  EXPECT_EQ(serial.step_s, 2.625);
+}
+
+TEST(Ledger, PrefetchHidesTheCopyUpToTheCompute) {
+  const CommConfig cfg = ledger_comm(0.0);
+  // 3 MB at 4 MB/s: a 0.75 s copy.
+  const IterationTiming short_compute =
+      ledger_step({0.5, 0.25}, true, true, 3'000'000, cfg);
+  EXPECT_EQ(short_compute.h2d_s, 0.75);
+  EXPECT_EQ(short_compute.exposed_h2d_s, 0.25);
+  EXPECT_EQ(short_compute.step_s, 0.75);
+  EXPECT_EQ(ledger_step({1.0, 0.25}, true, true, 3'000'000, cfg)
+                .exposed_h2d_s,
+            0.0);
+  EXPECT_EQ(ledger_step({1.0, 0.25}, true, false, 3'000'000, cfg)
+                .exposed_h2d_s,
+            0.75);
+  // A small copy hides entirely behind the compute.
+  EXPECT_EQ(ledger_step({0.5, 0.5}, true, true, 20'000, cfg).exposed_h2d_s,
+            0.0);
+  EXPECT_EQ(ledger_step({0.5, 0.5}, true, false, 20'000, cfg).exposed_h2d_s,
+            0.005);
+}
+
+TEST(Ledger, RecoveryAndJoinAddOntoTheStepTheyRide) {
+  const IterationTiming base = ledger_step({0.5, 2.0}, true, false, 40'000);
+  const IterationTiming charged =
+      ledger_step({0.5, 2.0}, true, false, 40'000, ledger_comm(), 0.5, 0.25);
+  EXPECT_EQ(charged.recovery_s, 0.5);
+  EXPECT_EQ(charged.join_s, 0.25);
+  EXPECT_EQ(charged.comm_s, base.comm_s);
+  EXPECT_EQ(charged.exposed_comm_s, base.exposed_comm_s);
+  EXPECT_EQ(charged.exposed_h2d_s, base.exposed_h2d_s);
+  EXPECT_EQ(charged.step_s, base.step_s + 0.5 + 0.25);
+
+  // The charges themselves: a barrier per hop each way, plus a parameter
+  // re-broadcast (recovery) or a full-state stream to the joiner (join).
+  const CommConfig cfg = ledger_comm();
+  EXPECT_EQ(recovery_cost_seconds(1, kLedgerBytes, cfg), 0.125);
+  EXPECT_EQ(recovery_cost_seconds(2, kLedgerBytes, cfg),
+            0.125 + ring_allreduce_seconds(kLedgerBytes, 2, cfg));
+  EXPECT_EQ(join_cost_seconds(2, 3 * kLedgerBytes, cfg), 0.125 + 0.0625 + 0.75);
+  // A grown ring spanning nodes pays the fat-tree tier.
+  CommConfig wide = cfg;
+  wide.inter_node_bw = 2e6;
+  wide.inter_latency = 0.5;
+  EXPECT_EQ(join_cost_seconds(5, kLedgerBytes, wide), 0.5 + 0.5 + 0.5);
+}
+
+TEST(Ledger, EveryDeviceLaneTilesTheStep) {
+  IterationTiming it;
+  it.device_compute_s = {0.25, 1.0, 0.5};
+  it.max_compute_s = 1.0;
+  it.exposed_comm_s = 0.125;
+  it.exposed_h2d_s = 0.0625;
+  it.recovery_s = 0.5;
+  it.join_s = 2.0;
+  it.step_s = 1.0 + 0.125 + 0.0625 + 0.5 + 2.0;
+  for (std::size_t d = 0; d < it.device_compute_s.size(); ++d) {
+    double total = 0.0;
+    std::vector<std::string> names;
+    for (const LaneSpan& span : device_lane(it, d)) {
+      EXPECT_GT(span.seconds, 0.0);
+      total += span.seconds;
+      names.push_back(span.name);
+    }
+    EXPECT_EQ(total, it.step_s) << "device " << d;
+    std::vector<std::string> want = {"compute", "straggler_slack",
+                                     "allreduce_exposed", "h2d_exposed",
+                                     "recovery", "join"};
+    if (d == 1) want.erase(want.begin() + 1);  // the straggler never waits
+    EXPECT_EQ(names, want) << "device " << d;
+  }
+  // A tail with no compute (a charge after the epoch's last step) is just
+  // the charge.
+  IterationTiming tail;
+  tail.device_compute_s = {0.0, 0.0};
+  tail.join_s = 0.25;
+  const std::vector<LaneSpan> lane = device_lane(tail, 1);
+  ASSERT_EQ(lane.size(), 1u);
+  EXPECT_STREQ(lane[0].name, "join");
+  EXPECT_EQ(lane[0].seconds, 0.25);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,6 +602,51 @@ TEST(Scaling, StrongScalingShapeMatchesPaper) {
   }
 }
 
+// The Fig. 10 simulator prices every iteration through the step ledger.
+// On StrongScalingShapeMatchesPaper's cost model its epoch time, exposed
+// comm share and load CoV equal, bit for bit, the values the simulator gave
+// before the ledger was shared with DataParallelTrainer (H2D hides behind
+// the compute here, so pricing it changes nothing).
+TEST(Scaling, GoldenStrongAndWeakPoints) {
+  data::Dataset ds = medium_dataset(512, 11);
+  CostModel cm;
+  cm.fixed = 2e-4;
+  cm.per_atom = 1e-4;
+  cm.per_bond = 3e-5;
+  cm.per_angle = 1e-5;
+  ScalingConfig cfg;
+  cfg.strong_global_batch = 256;
+  cfg.device_counts = {4, 8, 16, 32};
+  cfg.straggler_sigma = 0.0;
+  ScalingConfig weak = cfg;
+  weak.weak_per_device_batch = 16;
+  weak.straggler_sigma = 0.08;
+  struct Golden {
+    double epoch_seconds, comm_fraction, load_cov;
+  };
+  const Golden strong_want[] = {
+      {0x1.c7564302b40f8p+0, 0x1.094a05c05ad31p-8, 0x1.18b9fc5e966c9p-6},
+      {0x1.d3d859c8c9321p-1, 0x1.91a391ba8521fp-7, 0x1.82fdc5c9a359ep-6},
+      {0x1.f827fa1a0cf18p-2, 0x1.3f778f9aab46ep-5, 0x1.8ac96af0bf2cp-5},
+      {0x1.380346dc5d639p-2, 0x1.d92f2231e7f89p-4, 0x1.6916f1a8be372p-4}};
+  const Golden weak_want[] = {
+      {0x1.0c1aeb8c1c38dp+1, 0x1.c28dec7968266p-7, 0x1.4d0a3823eb232p-5},
+      {0x1.1f503c8f7e471p+0, 0x1.4700d1d59ec1p-6, 0x1.9e6d5ba314ca4p-5},
+      {0x1.29b6cc55fc44ep-1, 0x1.0e7f2086804bep-5, 0x1.8ac96af0bf2cp-5},
+      {0x1.3beaa939f029dp-2, 0x1.d3563e2075675p-5, 0x1.841b1e0d4f2adp-5}};
+  const auto check = [](const std::vector<ScalingPoint>& got,
+                        const Golden* want, const char* what) {
+    ASSERT_EQ(got.size(), 4u) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].epoch_seconds, want[i].epoch_seconds) << what << i;
+      EXPECT_EQ(got[i].comm_fraction, want[i].comm_fraction) << what << i;
+      EXPECT_EQ(got[i].load_cov, want[i].load_cov) << what << i;
+    }
+  };
+  check(strong_scaling(cm, ds, 429046 * 4, cfg), strong_want, "strong ");
+  check(weak_scaling(cm, ds, 429046 * 4, weak), weak_want, "weak ");
+}
+
 TEST(Scaling, WeakScalingEfficiencyDecays) {
   data::Dataset ds = medium_dataset(512, 12);
   CostModel cm;
@@ -527,8 +713,8 @@ TEST(Scaling, LoadBalanceImprovesSimulatedEpoch) {
 // ---------------------------------------------------------------------------
 // trace vs timing ledger: the simulated-time spans the trainer emits are an
 // independent witness of EpochResult's accounting.  Each alive device lane
-// tiles every step exactly (compute + straggler slack + exposed comm/H2D +
-// recovery = step_s), so each lane's span total must equal
+// tiles every step (compute + straggler slack + exposed comm/H2D +
+// recovery = step_s, to one rounding), so each lane's span total must equal
 // simulated_seconds -- including when a fault plan stretches a straggler.
 // ---------------------------------------------------------------------------
 

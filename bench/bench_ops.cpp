@@ -12,17 +12,32 @@
 //     time (lower is better; < 0.5 means the >= 2x acceptance bar holds);
 //   * ops.avx2_unavailable -- 0 when the host+build run the AVX2 kernels,
 //     1 otherwise (deterministic: catches a build regression that silently
-//     drops the -mavx2 translation units or the cpuid probe).
+//     drops the -mavx2 translation units or the cpuid probe);
+//   * ops.<family>.<workload>.threaded_over_serial.time_ratio.seconds --
+//     the same kernel at the default thread count over one thread, in one
+//     process, for the five threaded families (element-wise, gather,
+//     scatter, gated-act, GEMM) at the md (512-atom cell), train (32
+//     structures) and serve (8 structures) shapes.  The ratio cancels
+//     host speed; below the size rule (core/parallel_for.hpp) it reads
+//     about 1.0 because the kernel runs inline.
 //
-// The stdout table prints GFLOP/s per kernel family next to the speedup so
-// the >= 2x on >= 3 vectorized families acceptance is immediate.
+// The stdout tables print GFLOP/s per kernel family next to the speedup so
+// the >= 2x on >= 3 vectorized families acceptance is immediate, then the
+// threaded/serial times per family and shape.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "autograd/ops.hpp"
 #include "basis/envelope.hpp"
 #include "bench_common.hpp"
+#include "core/parallel_for.hpp"
 #include "ops/basis.hpp"
 #include "ops/dispatch.hpp"
 #include "ops/gemm.hpp"
@@ -67,6 +82,92 @@ void print_row(const FamilyRow& r) {
   const double gv = r.flops / r.avx2_s * 1e-9;
   std::printf("  %-14s %9.2f GF/s -> %9.2f GF/s   speedup %5.2fx\n", r.name,
               gs, gv, r.scalar_s / r.avx2_s);
+}
+
+/// Graph sizes of one forward at each e2e workload's shape (feature width
+/// 32): the md 512-atom cell at 6 / 3 A cutoffs, a 32-structure training
+/// batch and an 8-request serve micro-batch at 5 / 2.5 A.
+struct WorkloadShape {
+  const char* name;
+  index_t atoms;
+  index_t edges;
+};
+constexpr WorkloadShape kWorkloadShapes[] = {
+    {"md", 512, 65728}, {"train", 418, 9830}, {"serve", 111, 2904}};
+constexpr index_t kFeat = 32;
+
+ag::Var random_var(std::mt19937& rng, const Shape& shape) {
+  std::uniform_real_distribution<float> d(-1.0f, 1.0f);
+  Tensor t = Tensor::empty(shape);
+  for (index_t i = 0; i < t.numel(); ++i) t.data()[i] = d(rng);
+  return ag::Var(std::move(t), false);
+}
+
+struct ThreadRow {
+  std::string family;
+  const char* workload;
+  double serial_s = 1e30;
+  double threaded_s = 1e30;
+};
+
+/// Passes over every row at each thread count; a row keeps its best time.
+constexpr int kThreadRounds = 3;
+
+/// Each threaded family at each workload shape, at one thread and at
+/// `threads` workers.  The thread count changes only between passes over
+/// all rows: a rebuilt pool's new helpers start on the caller's core and
+/// take a few milliseconds to spread out, so each pass first runs
+/// kPoolSettleS of threaded GEMMs.  Passes alternate, so a busy spell on
+/// the host hits both sides.
+std::vector<ThreadRow> thread_rows(std::mt19937& rng, int threads) {
+  namespace aop = ag::ops;
+  constexpr double kPoolSettleS = 0.05;
+  std::vector<ThreadRow> rows;
+  std::vector<std::function<void()>> calls;
+  for (const WorkloadShape& w : kWorkloadShapes) {
+    const ag::Var edge_2c = random_var(rng, {w.edges, 2 * kFeat});
+    const ag::Var bias_2c = random_var(rng, {2 * kFeat});
+    const ag::Var atom_c = random_var(rng, {w.atoms, kFeat});
+    const ag::Var edge_c = random_var(rng, {w.edges, kFeat});
+    const ag::Var cat_3c = random_var(rng, {w.edges, 3 * kFeat});
+    const ag::Var weight = random_var(rng, {3 * kFeat, 2 * kFeat});
+    const ag::Var gamma = random_var(rng, {kFeat});
+    auto gated_out =
+        std::make_shared<Tensor>(Tensor::empty({w.edges, kFeat}));
+    std::vector<index_t> dst(static_cast<std::size_t>(w.edges));
+    for (index_t e = 0; e < w.edges; ++e) dst[e] = (e * 7919) % w.atoms;
+    const index_t atoms = w.atoms, edges = w.edges;
+    const std::vector<std::pair<std::string, std::function<void()>>> fams = {
+        {"eltwise", [=] { aop::add(edge_2c, bias_2c); }},
+        {"gather", [=] { aop::index_select0(atom_c, dst); }},
+        {"scatter", [=] { aop::index_add0(atoms, dst, edge_c); }},
+        {"gated_act",
+         [=] {
+           const float* g = gamma.value().data();
+           ops::rownorm::gated_act(edges, kFeat, 1e-5f,
+                                   edge_2c.value().data(), g, g, g, g,
+                                   gated_out->data());
+         }},
+        {"gemm", [=] { aop::matmul(cat_3c, weight); }},
+    };
+    for (const auto& [family, fn] : fams) {
+      rows.push_back({family, w.name});
+      calls.push_back(fn);
+    }
+  }
+  const std::function<void()>& settle = calls[4];  // the md GEMM
+  for (int round = 0; round < kThreadRounds; ++round) {
+    for (const int t : {1, threads}) {
+      set_num_threads(t);
+      for (perf::Timer timer; timer.seconds() < kPoolSettleS;) settle();
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        double& best = t == 1 ? rows[i].serial_s : rows[i].threaded_s;
+        best = std::min(best, best_seconds(calls[i]));
+      }
+    }
+  }
+  set_num_threads(threads);
+  return rows;
 }
 
 }  // namespace
@@ -169,6 +270,27 @@ int bench_ops_main(int argc, char** argv) {
   bench::print_rule();
   std::printf("  families at >= 2x: %d of %zu (acceptance: >= 3)\n",
               families_2x, rows.size());
+
+  const int threads = num_threads();
+  std::printf("\nthreaded (%d workers) vs serial, %s tier, size rule: "
+              "inline below %lld work units\n",
+              threads, ops::tier_name(ops::active_tier()),
+              static_cast<long long>(kParallelMinWork));
+  bench::print_rule();
+  std::printf("  %-10s %-6s %11s %11s %7s\n", "family", "shape", "serial us",
+              "threaded us", "ratio");
+  {
+    ag::NoGradGuard no_grad;
+    for (const ThreadRow& r : thread_rows(rng, threads)) {
+      const double ratio = r.threaded_s / r.serial_s;
+      std::printf("  %-10s %-6s %11.1f %11.1f %7.3f\n", r.family.c_str(),
+                  r.workload, 1e6 * r.serial_s, 1e6 * r.threaded_s, ratio);
+      rec.metric("ops." + r.family + "." + r.workload +
+                     ".threaded_over_serial.time_ratio.seconds",
+                 ratio);
+    }
+  }
+  bench::print_rule();
 
   rec.finish();
   return 0;

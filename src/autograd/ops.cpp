@@ -1,5 +1,6 @@
 #include "autograd/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -85,44 +86,50 @@ BPat classify(const Tensor& a, const Tensor& b, Shape& out_shape) {
                                                 << shape_str(b.shape()));
 }
 
-/// The arithmetic of every binary op.  rows/cols are only read for the 2-D
-/// row/col broadcast patterns.
+/// Flat patterns index elements; the 2-D row/col broadcast patterns index
+/// rows of `cols` elements.
+bool flat_pattern(BPat pat) {
+  return pat == BPat::kSame || pat == BPat::kAScalar || pat == BPat::kBScalar;
+}
+
+/// The arithmetic of every binary op over [lo, hi): elements for the flat
+/// patterns, rows for the row/col broadcast patterns.
 template <class F>
-void binary_loop(BPat pat, index_t rows, index_t cols, index_t n,
+void binary_loop(BPat pat, index_t lo, index_t hi, index_t cols,
                  const float* pa, const float* pb, float* po, F f) {
   switch (pat) {
     case BPat::kSame:
-      for (index_t i = 0; i < n; ++i) po[i] = f(pa[i], pb[i]);
+      for (index_t i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
       break;
     case BPat::kAScalar: {
       const float av = pa[0];
-      for (index_t i = 0; i < n; ++i) po[i] = f(av, pb[i]);
+      for (index_t i = lo; i < hi; ++i) po[i] = f(av, pb[i]);
       break;
     }
     case BPat::kBScalar: {
       const float bv = pb[0];
-      for (index_t i = 0; i < n; ++i) po[i] = f(pa[i], bv);
+      for (index_t i = lo; i < hi; ++i) po[i] = f(pa[i], bv);
       break;
     }
     case BPat::kARow:
-      for (index_t r = 0; r < rows; ++r)
+      for (index_t r = lo; r < hi; ++r)
         for (index_t c = 0; c < cols; ++c)
           po[r * cols + c] = f(pa[c], pb[r * cols + c]);
       break;
     case BPat::kBRow:
-      for (index_t r = 0; r < rows; ++r)
+      for (index_t r = lo; r < hi; ++r)
         for (index_t c = 0; c < cols; ++c)
           po[r * cols + c] = f(pa[r * cols + c], pb[c]);
       break;
     case BPat::kACol:
-      for (index_t r = 0; r < rows; ++r) {
+      for (index_t r = lo; r < hi; ++r) {
         const float av = pa[r];
         for (index_t c = 0; c < cols; ++c)
           po[r * cols + c] = f(av, pb[r * cols + c]);
       }
       break;
     case BPat::kBCol:
-      for (index_t r = 0; r < rows; ++r) {
+      for (index_t r = lo; r < hi; ++r) {
         const float bv = pb[r];
         for (index_t c = 0; c < cols; ++c)
           po[r * cols + c] = f(pa[r * cols + c], bv);
@@ -138,24 +145,27 @@ Tensor binary_kernel(const char* name, const Tensor& a, const Tensor& b,
   Shape out_shape;
   const BPat pat = classify(a, b, out_shape);
   Tensor out = Tensor::empty(out_shape);
-  const index_t rows = out_shape.size() == 2 ? out_shape[0] : 0;
-  const index_t cols = out_shape.size() == 2 ? out_shape[1] : 0;
-  const index_t n = out.numel();
-  binary_loop(pat, rows, cols, n, a.data(), b.data(), out.data(), f);
+  const bool flat = flat_pattern(pat);
+  const index_t cols = flat ? 1 : out_shape[1];
+  const index_t units = flat ? out.numel() : out_shape[0];
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  parallel_rows(units, cols, [&](index_t lo, index_t hi) {
+    binary_loop(pat, lo, hi, cols, pa, pb, po, f);
+  });
   return out;
-}
-
-template <class F>
-void unary_loop(index_t n, const float* px, float* po, F f) {
-  for (index_t i = 0; i < n; ++i) po[i] = f(px[i]);
 }
 
 template <class F>
 Tensor unary_kernel(const char* name, const Tensor& x, F f) {
   perf::count_kernel(name);
   Tensor out = Tensor::empty(x.shape());
-  const index_t n = x.numel();
-  unary_loop(n, x.data(), out.data(), f);
+  const float* px = x.data();
+  float* po = out.data();
+  parallel_rows(x.numel(), 1, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) po[i] = f(px[i]);
+  });
   return out;
 }
 
@@ -645,36 +655,62 @@ index_t row_width(const Tensor& t) {
 }  // namespace
 
 namespace {
-void index_select_loop(const std::vector<index_t>& idx, index_t rows,
-                       index_t w, const float* px, float* po) {
-  const index_t k = static_cast<index_t>(idx.size());
-  for (index_t r = 0; r < k; ++r) {
-    const index_t src = idx[static_cast<std::size_t>(r)];
-    FASTCHG_CHECK(src >= 0 && src < rows,
-                  "index_select: index " << src << " out of " << rows);
-  }
-  for (index_t r = 0; r < k; ++r) {
-    std::memcpy(po + r * w, px + idx[static_cast<std::size_t>(r)] * w,
-                static_cast<std::size_t>(w) * sizeof(float));
+/// Columns per task of the threaded scatter-add.  Every task walks all k
+/// source rows, so a split only pays when a row is wide: at 16 or 32
+/// columns the 2-4 tasks ran 1.3-2.2x slower than one thread on
+/// bench_ops shapes, so rows of up to 64 columns (the model's widths)
+/// stay one task.
+constexpr index_t kScatterColBlock = 64;
+
+void check_rows(const char* op, const std::vector<index_t>& idx,
+                index_t rows) {
+  for (const index_t r : idx) {
+    FASTCHG_CHECK(r >= 0 && r < rows,
+                  op << ": index " << r << " out of " << rows);
   }
 }
 
+/// Output rows split across threads; every row is one memcpy.
+void index_select_loop(const std::vector<index_t>& idx, index_t rows,
+                       index_t w, const float* px, float* po) {
+  check_rows("index_select", idx, rows);
+  const index_t* pi = idx.data();
+  parallel_rows(static_cast<index_t>(idx.size()), w,
+                [&](index_t lo, index_t hi) {
+                  for (index_t r = lo; r < hi; ++r) {
+                    std::memcpy(po + r * w, px + pi[r] * w,
+                                static_cast<std::size_t>(w) * sizeof(float));
+                  }
+                });
+}
+
+/// Zero-fill, then accumulate source rows in order r = 0..k-1, so colliding
+/// destinations sum in source order.  Threads split the columns in blocks
+/// of kScatterColBlock: each task owns its columns of every output row and
+/// walks all source rows in order, so every element sums exactly as the
+/// serial loop does.
 void index_add_loop(const std::vector<index_t>& idx, index_t rows, index_t w,
                     const float* ps, float* po) {
+  check_rows("index_add", idx, rows);
   const index_t k = static_cast<index_t>(idx.size());
-  for (index_t r = 0; r < k; ++r) {
-    const index_t dst = idx[static_cast<std::size_t>(r)];
-    FASTCHG_CHECK(dst >= 0 && dst < rows,
-                  "index_add: index " << dst << " out of " << rows);
-  }
-  // Zero-fill, then accumulate source rows in order r = 0..k-1, so colliding
-  // destinations sum in source order.
-  std::memset(po, 0, static_cast<std::size_t>(rows * w) * sizeof(float));
-  for (index_t r = 0; r < k; ++r) {
-    float* orow = po + idx[static_cast<std::size_t>(r)] * w;
-    const float* srow = ps + r * w;
-    for (index_t c = 0; c < w; ++c) orow[c] += srow[c];
-  }
+  const index_t* pi = idx.data();
+  const index_t blocks = (w + kScatterColBlock - 1) / kScatterColBlock;
+  parallel_rows(blocks, (k + rows) * std::min(w, kScatterColBlock),
+                [&](index_t lo, index_t hi) {
+    const index_t c0 = lo * kScatterColBlock;
+    const index_t c1 = std::min(w, hi * kScatterColBlock);
+    const std::size_t bytes = static_cast<std::size_t>(c1 - c0) * sizeof(float);
+    if (c1 - c0 == w) {
+      std::memset(po, 0, static_cast<std::size_t>(rows) * bytes);
+    } else {
+      for (index_t r = 0; r < rows; ++r) std::memset(po + r * w + c0, 0, bytes);
+    }
+    for (index_t r = 0; r < k; ++r) {
+      float* orow = po + pi[r] * w;
+      const float* srow = ps + r * w;
+      for (index_t c = c0; c < c1; ++c) orow[c] += srow[c];
+    }
+  });
 }
 }  // namespace
 

@@ -1,12 +1,16 @@
 #include "core/parallel_for.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
+#include "perf/counters.hpp"
 
 namespace fastchg {
 
@@ -22,7 +26,9 @@ int initial_thread_count() {
 }
 
 /// Minimal fork-join pool: the caller becomes worker 0; helpers pick up the
-/// remaining chunks of the current parallel_for and go back to sleep.
+/// remaining chunks of the current parallel_for and go back to sleep.  A
+/// chunk that throws stops the hand-out of further chunks; run() waits for
+/// every helper, then rethrows the first exception on the caller.
 class Pool {
  public:
   explicit Pool(int workers) : target_workers_(workers) { spawn(); }
@@ -52,9 +58,14 @@ class Pool {
     }
     cv_.notify_all();
     work();  // caller participates
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return busy_ == 0; });
-    fn_ = nullptr;
+    std::exception_ptr error;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_cv_.wait(lock, [this] { return busy_ == 0; });
+      fn_ = nullptr;
+      error = std::exchange(error_, nullptr);
+    }
+    if (error) std::rethrow_exception(error);
   }
 
  private:
@@ -109,7 +120,13 @@ class Pool {
         next_ += chunk_;
       }
       const index_t hi = std::min(lo + chunk_, end_);
-      (*fn_)(lo, hi);
+      try {
+        (*fn_)(lo, hi);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!error_) error_ = std::current_exception();
+        next_ = end_;  // start no further chunk
+      }
     }
   }
 
@@ -122,6 +139,7 @@ class Pool {
   int busy_ = 0;
   index_t begin_ = 0, end_ = 0, chunk_ = 1, next_ = 0;
   const std::function<void(index_t, index_t)>* fn_ = nullptr;
+  std::exception_ptr error_;
 };
 
 Pool& pool() {
@@ -165,6 +183,7 @@ void parallel_for(index_t begin, index_t end, index_t grain,
         PoolDepthGuard depth;
         fn(lo, hi);
       };
+  perf::count_pool_dispatch();
   pool().run(begin, end, chunk, guarded);
 }
 

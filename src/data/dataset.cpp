@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/parallel_for.hpp"
+
 namespace fastchg::data {
 
 Dataset Dataset::generate(index_t n, std::uint64_t seed,
@@ -26,12 +28,20 @@ Dataset Dataset::from_crystals(std::vector<Crystal> crystals,
   Dataset ds;
   ds.graph_cfg_ = graph_cfg;
   Oracle oracle(oracle_params);
-  ds.samples_.reserve(crystals.size());
-  for (Crystal& c : crystals) {
-    if (relabel) oracle.label(c);
-    GraphData g = build_graph(c, graph_cfg);
-    ds.samples_.push_back({std::move(c), std::move(g)});
+  ds.samples_.resize(crystals.size());
+  for (std::size_t i = 0; i < crystals.size(); ++i) {
+    if (relabel) oracle.label(crystals[i]);
+    ds.samples_[i].crystal = std::move(crystals[i]);
   }
+  // Each graph depends only on its own crystal: build them in parallel,
+  // each into its own slot.
+  parallel_for(0, ds.size(), /*grain=*/1, [&ds, &graph_cfg](index_t lo,
+                                                          index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      Sample& s = ds.samples_[static_cast<std::size_t>(i)];
+      s.graph = build_graph(s.crystal, graph_cfg);
+    }
+  });
   return ds;
 }
 

@@ -11,12 +11,17 @@
 
 namespace fastchg::ops::gemm {
 
+namespace {
+/// parallel_rows work units of `macs` multiply-adds.
+index_t macs_to_work(index_t macs) { return macs / kMacsPerWorkUnit; }
+}  // namespace
+
 namespace scalar {
 
 void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
             float* o) {
   std::memset(o, 0, static_cast<std::size_t>(m * n) * sizeof(float));
-  parallel_for(0, m, /*grain=*/16, [&](index_t lo, index_t hi) {
+  parallel_rows(m, macs_to_work(k * n), [&](index_t lo, index_t hi) {
     for (index_t i = lo; i < hi; ++i) {
       float* orow = o + i * n;
       const float* arow = a + i * k;
@@ -32,7 +37,7 @@ void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
 void matmul_tn(index_t m, index_t k, index_t n, const float* a,
                const float* g, float* o) {
   std::memset(o, 0, static_cast<std::size_t>(k * n) * sizeof(float));
-  parallel_for(0, k, /*grain=*/4, [&](index_t lo, index_t hi) {
+  parallel_rows(k, macs_to_work(m * n), [&](index_t lo, index_t hi) {
     for (index_t r0 = 0; r0 < m; r0 += kTnRowBlock) {
       const index_t r1 = std::min(m, r0 + kTnRowBlock);
       for (index_t i = lo; i < hi; ++i) {
@@ -53,7 +58,7 @@ namespace avx2 {
 
 void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
             float* o) {
-  parallel_for(0, m, /*grain=*/16, [&](index_t lo, index_t hi) {
+  parallel_rows(m, macs_to_work(k * n), [&](index_t lo, index_t hi) {
     matmul_rows(lo, hi, k, n, a, b, o);
   });
 }
@@ -68,10 +73,12 @@ void matmul_tn(index_t m, index_t k, index_t n, const float* a,
   // streams all of G once, so fewer, larger ranges mean less G traffic.
   // Pairs keep the 2-row micro-kernel aligned.
   const index_t pairs = (k + 1) / 2;
-  const index_t per_thread = (pairs + num_threads() - 1) / num_threads();
-  parallel_for(0, pairs, std::max<index_t>(2, per_thread),
-               [&](index_t lo, index_t hi) {
-    const index_t i0 = 2 * lo, i1 = std::min(k, 2 * hi);
+  const index_t ranges = std::clamp<index_t>(pairs, 1, num_threads());
+  const index_t per_range = (pairs + ranges - 1) / ranges;
+  parallel_rows(ranges, macs_to_work(2 * per_range * m * n),
+                [&](index_t lo, index_t hi) {
+    const index_t i0 = std::min(k, 2 * lo * per_range);
+    const index_t i1 = std::min(k, 2 * hi * per_range);
     for (index_t r0 = 0; r0 < m; r0 += kTnRowBlock) {
       matmul_tn_rows(i0, i1, r0, std::min(m, r0 + kTnRowBlock), k, n, a, g,
                      o);

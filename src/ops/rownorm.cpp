@@ -1,6 +1,6 @@
 // Baseline-ISA TU: scalar references (byte-for-byte the seed's fused loops
-// from nn/layernorm.cpp and nn/gated_mlp.cpp), the gated-act backward's
-// chunk driver for both tiers, and tier dispatch.
+// from nn/layernorm.cpp and nn/gated_mlp.cpp), the gated-act row-split
+// drivers for both tiers, and tier dispatch.
 #include "ops/rownorm.hpp"
 
 #include <algorithm>
@@ -48,7 +48,9 @@ void gated_act_backward_chunked(GatedBwdRows rows_fn, index_t rows, index_t c,
   thread_local std::vector<float> partials;
   partials.resize(static_cast<std::size_t>(chunks * w));
   float* part = partials.data();
-  parallel_for(0, chunks, /*grain=*/1, [&](index_t lo, index_t hi) {
+  // A backward row costs about two forward rows.
+  parallel_rows(chunks, kGatedBwdChunk * 2 * c * kGatedActUnitsPerElement,
+                [&](index_t lo, index_t hi) {
     for (index_t ch = lo; ch < hi; ++ch) {
       const index_t r0 = ch * kGatedBwdChunk;
       rows_fn(r0, std::min(rows, r0 + kGatedBwdChunk), c, eps, x, gc, bc, gg,
@@ -205,11 +207,12 @@ void layernorm(index_t rows, index_t cols, float eps, const float* x,
 void gated_act(index_t rows, index_t c, float eps, const float* x,
                const float* gc, const float* bc, const float* gg,
                const float* bg, float* o) {
-  if (active_tier() == Tier::kAvx2) {
-    avx2::gated_act(rows, c, eps, x, gc, bc, gg, bg, o);
-    return;
-  }
-  scalar::gated_act(rows, c, eps, x, gc, bc, gg, bg, o);
+  const auto tier_fn = active_tier() == Tier::kAvx2 ? &avx2::gated_act
+                                                    : &scalar::gated_act;
+  // Rows are independent, so any split gives the serial bytes.
+  parallel_rows(rows, c * kGatedActUnitsPerElement, [&](index_t lo, index_t hi) {
+    tier_fn(hi - lo, c, eps, x + lo * 2 * c, gc, bc, gg, bg, o + lo * c);
+  });
 }
 
 void gated_act_backward(index_t rows, index_t c, float eps, const float* x,

@@ -6,10 +6,9 @@ namespace fastchg::perf {
 
 namespace {
 
-/// Serializes every counter mutation.  Kernel launches and tensor
-/// allocations fire from pool workers when the serve layer runs independent
-/// micro-batches concurrently; an uncontended lock costs tens of
-/// nanoseconds against ops that touch whole tensors, so this stays cheap.
+/// Serializes every counter mutation (the prefetch thread allocates while
+/// the trainer runs kernels); an uncontended lock costs tens of nanoseconds
+/// against ops that touch whole tensors, so this stays cheap.
 std::mutex& counters_mutex() {
   static std::mutex mu;
   return mu;
@@ -30,6 +29,7 @@ Counters Counters::snapshot() const {
 void Counters::reset() {
   std::lock_guard<std::mutex> lock(counters_mutex());
   kernel_launches = 0;
+  pool_dispatches = 0;
   per_op.clear();
   alloc_count = 0;
   events.clear();
@@ -49,6 +49,11 @@ void count_kernel(const char* name) {
   Counters& c = counters();
   ++c.kernel_launches;
   if (c.per_op_enabled) ++c.per_op[name];
+}
+
+void count_pool_dispatch() {
+  std::lock_guard<std::mutex> lock(counters_mutex());
+  ++counters().pool_dispatches;
 }
 
 void track_alloc(std::uint64_t bytes) {

@@ -16,13 +16,17 @@
 namespace fastchg::perf {
 
 /// Global counters.  All mutation goes through the free functions below,
-/// which serialize on an internal mutex: the serve layer runs independent
-/// micro-batches on pool workers concurrently, so kernel launches, tensor
-/// allocations and robustness events may fire from several threads at once.
-/// Direct field reads are only safe when no parallel section is running
+/// which serialize on an internal mutex: the prefetch thread
+/// (data/prefetch.hpp) allocates the next batch's tensors while the
+/// trainer's kernels run.  Micro-batches run one after another on the
+/// calling thread (docs/serving.md), not concurrently on pool workers.
+/// Direct field reads are only safe when no other thread is recording
 /// (benches and tests read between repetitions, which is fine).
 struct Counters {
   std::uint64_t kernel_launches = 0;
+  /// parallel_for runs that went to the thread pool (core/parallel_for.hpp);
+  /// runs the size rule keeps inline do not count.
+  std::uint64_t pool_dispatches = 0;
   std::uint64_t bytes_live = 0;
   std::uint64_t bytes_peak = 0;
   std::uint64_t alloc_count = 0;
@@ -60,7 +64,7 @@ struct Counters {
   /// workers are still recording.
   Counters snapshot() const;
   /// Reset everything a bench repetition accumulates: kernel launches,
-  /// per-op map, allocation count, events, pool hit/miss/system-alloc
+  /// pool dispatches, per-op map, allocation count, events, pool hit/miss/system-alloc
   /// counts, and the watermarks (bytes_peak rebased to the currently live
   /// bytes, pool_high_water to the currently held slab bytes -- live
   /// allocations and warm slabs still exist).  Without this, repetition 1
@@ -73,6 +77,9 @@ Counters& counters();
 
 /// Record one "kernel launch" for op `name`.
 void count_kernel(const char* name);
+
+/// Record one parallel_for run handed to the thread pool.
+void count_pool_dispatch();
 
 void track_alloc(std::uint64_t bytes);
 void track_free(std::uint64_t bytes);

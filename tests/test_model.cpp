@@ -501,6 +501,50 @@ TEST(Model, FirstOrderGradientsIndependentOfThreadCount) {
   }
 }
 
+/// Pool dispatches of one eval forward of `c` at 4 threads, with the
+/// e2e benchmark's model dimensions (width 32, basis 15).
+std::uint64_t eval_forward_dispatches(const Crystal& c,
+                                      const data::GraphConfig& gc) {
+  ModelConfig cfg = ModelConfig::optimization_stage(3);
+  cfg.feat_dim = 32;
+  cfg.num_radial = 15;
+  cfg.num_angular = 15;
+  cfg.atom_cutoff = gc.atom_cutoff;
+  cfg.bond_cutoff = gc.bond_cutoff;
+  const CHGNet net(cfg, 5);
+  const Dataset ds = Dataset::from_crystals({c}, gc, {}, /*relabel=*/false);
+  const Batch b = data::collate_indices(ds, {0});
+  const int saved = num_threads();
+  set_num_threads(4);
+  const std::uint64_t before = perf::counters().snapshot().pool_dispatches;
+  net.forward(b, ForwardMode::kEval);
+  const std::uint64_t after = perf::counters().snapshot().pool_dispatches;
+  set_num_threads(saved);
+  return after - before;
+}
+
+TEST(Model, TwoAtomForwardStaysOffThePool) {
+  // Small serve shapes must not pay pool wake-ups: every kernel of a
+  // two-atom forward is below the size rule.
+  Crystal c;
+  c.lattice = {{{3.0, 0.0, 0.0}, {0.0, 3.0, 0.0}, {0.0, 0.0, 3.0}}};
+  c.frac = {{0.0, 0.0, 0.0}, {0.5, 0.5, 0.5}};
+  c.species = {3, 8};
+  data::GraphConfig gc;
+  gc.atom_cutoff = 5.0;
+  gc.bond_cutoff = 2.5;
+  EXPECT_EQ(eval_forward_dispatches(c, gc), 0u);
+}
+
+TEST(Model, LargeCellForwardUsesThePool) {
+  // The e2e md workload's 512-atom cell is kernel-bound: its forward must
+  // run threaded kernels.
+  const Crystal c = data::make_supercell(
+      data::make_reference_structure("Li9Co7O16"), 2, 2, 4);
+  ASSERT_EQ(c.natoms(), 512);
+  EXPECT_GT(eval_forward_dispatches(c, data::GraphConfig{}), 0u);
+}
+
 TEST(Model, FactoryFunctions) {
   auto fast = make_fastchgnet(15);
   auto ref = make_reference_chgnet(15);

@@ -8,7 +8,8 @@
 // scatter and reduce op at odd sizes against an independent in-order loop.
 // A last sweep runs every autograd op (plus the fused layernorm and gated
 // activation) at several thread counts and with pooling on and off, and
-// requires the same bytes and launch count each time.
+// requires the same bytes and launch count each time; the families the
+// size rule threads run once below the rule and once above it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -494,11 +495,38 @@ INSTANTIATE_TEST_SUITE_P(
 // thread-count and pooling oracle over every op
 // ---------------------------------------------------------------------------
 
+constexpr bool is_prime(index_t n) {
+  if (n < 2) return false;
+  for (index_t d = 2; d * d <= n; ++d) {
+    if (n % d == 0) return false;
+  }
+  return true;
+}
+
+constexpr index_t next_prime(index_t n) {
+  while (!is_prime(n)) ++n;
+  return n;
+}
+
 // Leaves are [kRows, kCols] unless a case says otherwise: a prime row count
 // splits unevenly across 2, 3 and 4 threads, and an odd column count leaves
-// a SIMD remainder in every row.
-constexpr index_t kRows = 1031;
+// a SIMD remainder in every row.  kRows puts an element-wise pass over a
+// leaf just above the size rule (core/parallel_for.hpp), so the threaded
+// branch of every family runs; kSmallRows keeps the same pass well below
+// it, so the inline branch runs too.
 constexpr index_t kCols = 37;
+constexpr index_t kRows = next_prime(kParallelMinWork / kCols + 1);
+constexpr index_t kSmallRows = next_prime(kParallelMinWork / kCols / 8);
+static_assert(kRows * kCols >= kParallelMinWork);
+static_assert(kSmallRows * kCols * 4 < kParallelMinWork);
+// The scatter-add case: a width that is not a multiple of the column
+// block, into few destination rows, so every row collides many times.
+constexpr index_t kWideCols = 150;
+constexpr index_t kFewRows = 61;
+
+/// Which side of the size rule a case's kernels run at 4 threads:
+/// kAbove requires at least one pool dispatch, kBelow none.
+enum class Rule { kUnchecked, kBelow, kAbove };
 
 /// One op under the oracle: `build` maps leaves drawn uniformly from
 /// [lo, hi], with the listed shapes, to the op's output.
@@ -508,6 +536,7 @@ struct OracleCase {
   std::function<Var(const std::vector<Var>&)> build;
   float lo = -1.0f;
   float hi = 1.0f;
+  Rule rule = Rule::kUnchecked;
 };
 
 void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
@@ -553,14 +582,23 @@ TEST_P(ThreadOracleSweep, ValueAndGradBytesIndependentOfThreadsAndPooling) {
   for (const Setting& s : settings) {
     set_num_threads(s.threads);
     alloc::set_pooling_enabled(s.pooling);
-    const std::uint64_t before = perf::counters().snapshot().kernel_launches;
+    const perf::Counters before = perf::counters().snapshot();
     std::vector<std::vector<float>> got;
     {
       alloc::ArenaScope arena;
       got = value_and_grads([&] { return c.build(leaves); }, leaves);
     }
+    const perf::Counters after = perf::counters().snapshot();
     const std::uint64_t launches =
-        perf::counters().snapshot().kernel_launches - before;
+        after.kernel_launches - before.kernel_launches;
+    const std::uint64_t dispatches =
+        after.pool_dispatches - before.pool_dispatches;
+    if (s.threads == 4 && c.rule == Rule::kAbove) {
+      EXPECT_GT(dispatches, 0u) << "no kernel went to the pool";
+    }
+    if (s.threads == 4 && c.rule == Rule::kBelow) {
+      EXPECT_EQ(dispatches, 0u) << "a kernel below the size rule was threaded";
+    }
     if (ref.empty()) {
       ref = std::move(got);
       ref_launches = launches;
@@ -595,6 +633,61 @@ OracleCase binary(const char* name, Var (*op)(const Var&, const Var&),
                   float lo = -1.0f, float hi = 1.0f) {
   return {name, {{kRows, kCols}, {kCols}},
           [op](const Leaves& v) { return op(v[0], v[1]); }, lo, hi};
+}
+
+/// `c` at the given side of the size rule.
+OracleCase at(Rule rule, OracleCase c) {
+  c.rule = rule;
+  return c;
+}
+
+/// The families the size rule threads, once below it and once above it.
+std::vector<OracleCase> rule_cases() {
+  const Shape row = {kCols};
+  std::vector<OracleCase> out;
+  for (const Rule rule : {Rule::kBelow, Rule::kAbove}) {
+    const bool above = rule == Rule::kAbove;
+    const index_t n = above ? kRows : kSmallRows;
+    const Shape x = {n, kCols};
+    // Matmul multiply-adds per row are kCols * kMatCols: the small case
+    // stays under the GEMM rule, the large one clears it.
+    const index_t mat_cols = 45;
+    static_assert(kSmallRows * kCols * 45 < kParallelMinWork * kMacsPerWorkUnit);
+    static_assert(kRows * kCols * 45 >= kParallelMinWork * kMacsPerWorkUnit);
+    // A gated-act row weighs kCols * kGatedActUnitsPerElement units.
+    static_assert(kSmallRows / 4 * kCols * kGatedActUnitsPerElement <
+                  kParallelMinWork);
+    static_assert(kRows / 4 * kCols * kGatedActUnitsPerElement >=
+                  kParallelMinWork);
+    const auto rows_of = [n](index_t rows) { return scattered_rows(n, rows); };
+    out.push_back(at(rule, {above ? "add_above" : "add_below", {x, row},
+                            [](const Leaves& v) { return add(v[0], v[1]); }}));
+    out.push_back(at(rule, {above ? "mul_same_above" : "mul_same_below", {x, x},
+                            [](const Leaves& v) { return mul(v[0], v[1]); }}));
+    out.push_back(at(rule, {above ? "exp_above" : "exp_below", {x},
+                            [](const Leaves& v) { return exp_op(v[0]); }}));
+    out.push_back(at(rule, {above ? "index_select0_above" : "index_select0_below",
+                            {{257, kCols}},
+                            [rows_of](const Leaves& v) {
+                              return index_select0(v[0], rows_of(257));
+                            }}));
+    out.push_back(at(rule, {above ? "index_add0_above" : "index_add0_below",
+                            {{n, kWideCols}},
+                            [rows_of](const Leaves& v) {
+                              return index_add0(kFewRows, rows_of(kFewRows),
+                                                v[0]);
+                            }}));
+    out.push_back(at(rule, {above ? "gated_act_above" : "gated_act_below",
+                            {{n / 4, 2 * kCols}, row, row, row, row},
+                            [](const Leaves& v) {
+                              return nn::gated_act_fused(v[0], v[1], v[2], v[3],
+                                                         v[4], 1e-5f);
+                            }}));
+    out.push_back(at(rule, {above ? "matmul_above" : "matmul_below",
+                            {x, {kCols, mat_cols}},
+                            [](const Leaves& v) { return matmul(v[0], v[1]); }}));
+  }
+  return out;
 }
 
 std::vector<OracleCase> oracle_cases() {
@@ -660,6 +753,12 @@ std::vector<OracleCase> oracle_cases() {
        }},
   };
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SizeRule, ThreadOracleSweep, ::testing::ValuesIn(rule_cases()),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return std::string(info.param.name);
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Ops, ThreadOracleSweep, ::testing::ValuesIn(oracle_cases()),

@@ -1,6 +1,8 @@
 // Unit tests for the core tensor type and the perf accounting hooks.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "autograd/ops.hpp"
 #include "core/parallel_for.hpp"
 #include "core/rng.hpp"
@@ -160,6 +162,55 @@ TEST(ParallelFor, RunsRightAfterResize) {
     });
     for (int h : hits) ASSERT_EQ(h, 1) << "rep " << rep;
   }
+  set_num_threads(original);
+}
+
+TEST(ParallelFor, ChunkExceptionReachesCallerAndPoolRecovers) {
+  const int original = num_threads();
+  set_num_threads(4);
+  // Throw from a range that does not start the interval, so a helper can
+  // be the one that throws.
+  EXPECT_THROW(parallel_for(0, 4096, 1,
+                            [](index_t lo, index_t) {
+                              if (lo > 0) throw std::runtime_error("chunk");
+                            }),
+               std::runtime_error);
+  // Every range throws: still one exception, on the caller.
+  EXPECT_THROW(parallel_for(0, 4096, 1,
+                            [](index_t, index_t) {
+                              throw std::logic_error("every chunk");
+                            }),
+               std::logic_error);
+  std::vector<int> hits(4096, 0);
+  parallel_for(0, 4096, 1, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+  });
+  for (int h : hits) EXPECT_EQ(h, 1);
+  set_num_threads(original);
+}
+
+TEST(ParallelFor, SizeRuleKeepsSmallWorkInline) {
+  const int original = num_threads();
+  set_num_threads(4);
+  perf::counters().reset();
+  std::vector<int> hits(static_cast<std::size_t>(kParallelMinWork), 0);
+  const auto count = [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+  };
+  parallel_rows(kParallelMinWork - 1, 1, count);
+  EXPECT_EQ(perf::counters().snapshot().pool_dispatches, 0u);
+  parallel_rows(kParallelMinWork, 1, count);
+  EXPECT_EQ(perf::counters().snapshot().pool_dispatches, 1u);
+  // Work per row counts: 2 rows of half the rule's work reach it.
+  parallel_rows(2, kParallelMinWork / 2, [](index_t, index_t) {});
+  EXPECT_EQ(perf::counters().snapshot().pool_dispatches, 2u);
+  EXPECT_EQ(hits.back(), 1);
+  EXPECT_EQ(hits.front(), 2);
+  perf::counters().reset();
+  EXPECT_EQ(perf::counters().snapshot().pool_dispatches, 0u);
+  set_num_threads(1);
+  parallel_rows(kParallelMinWork, 1, count);
+  EXPECT_EQ(perf::counters().snapshot().pool_dispatches, 0u);
   set_num_threads(original);
 }
 

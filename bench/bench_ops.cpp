@@ -14,12 +14,14 @@
 //     1 otherwise (deterministic: catches a build regression that silently
 //     drops the -mavx2 translation units or the cpuid probe);
 //   * ops.<family>.<workload>.threaded_over_serial.time_ratio.seconds --
-//     the same kernel at the default thread count over one thread, in one
-//     process, for the five threaded families (element-wise, gather,
-//     scatter, gated-act, GEMM) at the md (512-atom cell), train (32
-//     structures) and serve (8 structures) shapes.  The ratio cancels
-//     host speed; below the size rule (core/parallel_for.hpp) it reads
-//     about 1.0 because the kernel runs inline.
+//     the same kernel at the default thread count over the same kernel run
+//     inline on the caller (InlineRegion), in one process and one pool, for
+//     the five threaded families (element-wise, gather, scatter, gated-act,
+//     GEMM) at the md (512-atom cell), train (32 structures) and serve (8
+//     structures) shapes, timed once the pool's chunks run on distinct CPUs
+//     (spread_pool).  The ratio cancels host speed; below the size rule
+//     (core/parallel_for.hpp) it reads about 1.0 because the kernel runs
+//     inline.
 //
 // The stdout tables print GFLOP/s per kernel family next to the speedup so
 // the >= 2x on >= 3 vectorized families acceptance is immediate, then the
@@ -29,10 +31,14 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sched.h>
 
 #include "autograd/ops.hpp"
 #include "basis/envelope.hpp"
@@ -110,18 +116,47 @@ struct ThreadRow {
   double threaded_s = 1e30;
 };
 
-/// Passes over every row at each thread count; a row keeps its best time.
+/// Longest wait for the pool's workers to reach distinct CPUs.
+constexpr double kSpreadCapS = 10.0;
+
+/// Runs 1 ms pool chunks until they run on min(threads, allowed CPUs)
+/// distinct CPUs, or kSpreadCapS passes; returns the CPU count reached and
+/// the wait.  After the host has idled for some seconds, a VM scheduler can
+/// keep every worker on the caller's core for the first second or so of
+/// activity (each threaded time then reads the serial one), so the timed
+/// passes wait for it.
+std::pair<std::size_t, double> spread_pool(int threads) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  sched_getaffinity(0, sizeof(allowed), &allowed);
+  const std::size_t want = static_cast<std::size_t>(
+      std::max(1, std::min(threads, CPU_COUNT(&allowed))));
+  perf::Timer waited;
+  std::set<int> cpus;
+  while (cpus.size() < want && waited.seconds() < kSpreadCapS) {
+    std::mutex mu;
+    cpus.clear();
+    // 4 * threads - 1 rows: parallel_for hands out one row per chunk.
+    parallel_for(0, 4 * threads - 1, 1, [&](index_t, index_t) {
+      for (perf::Timer spin; spin.seconds() < 1e-3;) {
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      cpus.insert(sched_getcpu());
+    });
+  }
+  return {cpus.size(), waited.seconds()};
+}
+
+/// Serial and threaded passes over every row; a row keeps its best time.
 constexpr int kThreadRounds = 3;
 
-/// Each threaded family at each workload shape, at one thread and at
-/// `threads` workers.  The thread count changes only between passes over
-/// all rows: a rebuilt pool's new helpers start on the caller's core and
-/// take a few milliseconds to spread out, so each pass first runs
-/// kPoolSettleS of threaded GEMMs.  Passes alternate, so a busy spell on
-/// the host hits both sides.
-std::vector<ThreadRow> thread_rows(std::mt19937& rng, int threads) {
+/// Each threaded family at each workload shape, inline on the caller and on
+/// the pool's workers.  The serial pass runs under an InlineRegion, so both
+/// passes share the one pool spread_pool spread out: a rebuilt pool's new
+/// helpers would start on the caller's core again.  Passes alternate, so a
+/// busy spell on the host hits both sides.
+std::vector<ThreadRow> thread_rows(std::mt19937& rng) {
   namespace aop = ag::ops;
-  constexpr double kPoolSettleS = 0.05;
   std::vector<ThreadRow> rows;
   std::vector<std::function<void()>> calls;
   for (const WorkloadShape& w : kWorkloadShapes) {
@@ -155,18 +190,19 @@ std::vector<ThreadRow> thread_rows(std::mt19937& rng, int threads) {
       calls.push_back(fn);
     }
   }
-  const std::function<void()>& settle = calls[4];  // the md GEMM
-  for (int round = 0; round < kThreadRounds; ++round) {
-    for (const int t : {1, threads}) {
-      set_num_threads(t);
-      for (perf::Timer timer; timer.seconds() < kPoolSettleS;) settle();
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        double& best = t == 1 ? rows[i].serial_s : rows[i].threaded_s;
-        best = std::min(best, best_seconds(calls[i]));
-      }
+  const auto pass = [&](bool serial) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      double& best = serial ? rows[i].serial_s : rows[i].threaded_s;
+      best = std::min(best, best_seconds(calls[i]));
     }
+  };
+  for (int round = 0; round < kThreadRounds; ++round) {
+    {
+      InlineRegion serial;
+      pass(true);
+    }
+    pass(false);
   }
-  set_num_threads(threads);
   return rows;
 }
 
@@ -279,9 +315,11 @@ int bench_ops_main(int argc, char** argv) {
   bench::print_rule();
   std::printf("  %-10s %-6s %11s %11s %7s\n", "family", "shape", "serial us",
               "threaded us", "ratio");
+  const auto [cpus, waited] = spread_pool(threads);
+  std::printf("  pool chunks ran on %zu CPUs after %.2f s\n", cpus, waited);
   {
     ag::NoGradGuard no_grad;
-    for (const ThreadRow& r : thread_rows(rng, threads)) {
+    for (const ThreadRow& r : thread_rows(rng)) {
       const double ratio = r.threaded_s / r.serial_s;
       std::printf("  %-10s %-6s %11.1f %11.1f %7.3f\n", r.family.c_str(),
                   r.workload, 1e6 * r.serial_s, 1e6 * r.threaded_s, ratio);

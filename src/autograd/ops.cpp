@@ -173,7 +173,6 @@ Tensor unary_kernel(const char* name, const Tensor& x, F f) {
 
 Var constant(Tensor t) { return Var(std::move(t), /*requires_grad=*/false); }
 
-Var zeros_like(const Var& x) { return constant(Tensor::zeros(x.shape())); }
 Var ones_like(const Var& x) { return constant(Tensor::ones(x.shape())); }
 
 // ---------------------------------------------------------------------------

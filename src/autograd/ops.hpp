@@ -20,7 +20,6 @@ namespace fastchg::ag::ops {
 
 /// Wrap a tensor as a constant (requires_grad = false) leaf.
 Var constant(Tensor t);
-Var zeros_like(const Var& x);
 Var ones_like(const Var& x);
 
 // -- elementwise binary (broadcasting) --------------------------------------

@@ -46,11 +46,6 @@ bool Var::requires_grad() const {
   return defined() && node_->requires_grad;
 }
 
-bool Var::is_leaf() const {
-  FASTCHG_CHECK(defined(), "is_leaf() on undefined Var");
-  return node_->backward_fn == nullptr;
-}
-
 Var Var::detach() const {
   FASTCHG_CHECK(defined(), "detach() on undefined Var");
   return Var(node_->value, /*requires_grad=*/false);

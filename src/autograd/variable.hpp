@@ -48,9 +48,6 @@ class Var {
   index_t size(index_t d) const { return value().size(d); }
   float item() const { return value().item(); }
 
-  /// A leaf has no backward function (parameters, constants, detached vars).
-  bool is_leaf() const;
-
   /// New leaf sharing this value, cut off from the graph.
   Var detach() const;
 

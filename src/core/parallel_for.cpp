@@ -147,25 +147,21 @@ Pool& pool() {
   return p;
 }
 
-/// Depth of pool-scheduled chunks on this thread.  A nested parallel_for
-/// (a tensor kernel inside a micro-batch that is itself a pool chunk) must
-/// not re-enter Pool::run -- the pool's dispatch state is per-call, so a
-/// re-entrant run() from a worker would corrupt it or deadlock.  Nested
-/// calls run inline instead.
+/// Depth of pool-scheduled chunks and InlineRegions on this thread.  A
+/// nested parallel_for (a tensor kernel inside a micro-batch that is itself
+/// a pool chunk) must not re-enter Pool::run -- the pool's dispatch state is
+/// per-call, so a re-entrant run() from a worker would corrupt it or
+/// deadlock.  Nested calls run inline instead.
 thread_local int t_pool_depth = 0;
 
-struct PoolDepthGuard {
-  PoolDepthGuard() { ++t_pool_depth; }
-  ~PoolDepthGuard() { --t_pool_depth; }
-};
-
 }  // namespace
+
+InlineRegion::InlineRegion() { ++t_pool_depth; }
+InlineRegion::~InlineRegion() { --t_pool_depth; }
 
 int num_threads() { return pool().workers(); }
 
 void set_num_threads(int n) { pool().resize(n); }
-
-bool in_parallel_region() { return t_pool_depth > 0; }
 
 void parallel_for(index_t begin, index_t end, index_t grain,
                   const std::function<void(index_t, index_t)>& fn) {
@@ -180,7 +176,7 @@ void parallel_for(index_t begin, index_t end, index_t grain,
   index_t chunk = std::max<index_t>(grain, n / (4 * workers) + 1);
   const std::function<void(index_t, index_t)> guarded =
       [&fn](index_t lo, index_t hi) {
-        PoolDepthGuard depth;
+        InlineRegion depth;
         fn(lo, hi);
       };
   perf::count_pool_dispatch();

@@ -78,8 +78,15 @@ void parallel_rows(index_t rows, index_t work_per_row, const F& fn) {
                std::cref(fn));
 }
 
-/// True while the calling thread is executing inside a parallel_for chunk
-/// scheduled on the pool (nested parallel_for calls run inline then).
-bool in_parallel_region();
+/// While alive, every parallel_for on the constructing thread runs inline,
+/// as it does inside a pool chunk; the pool and its helpers stay as they
+/// are.  Times a kernel's serial pass without rebuilding the pool.
+class InlineRegion {
+ public:
+  InlineRegion();
+  ~InlineRegion();
+  InlineRegion(const InlineRegion&) = delete;
+  InlineRegion& operator=(const InlineRegion&) = delete;
+};
 
 }  // namespace fastchg

@@ -35,8 +35,6 @@ class PrefetchLoader {
   /// exhausted.  Batches arrive in plan order.
   std::optional<data::Batch> next();
 
-  std::size_t batches_total() const { return plan_.size(); }
-
  private:
   void worker();
 

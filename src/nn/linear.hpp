@@ -38,8 +38,6 @@ class PackedLinear : public Module {
 
   Var forward(const Var& x) const;
   Var head(std::size_t i, const Var& packed) const;
-  std::size_t num_heads() const { return outs_.size(); }
-  index_t head_size(std::size_t i) const { return outs_[i]; }
 
  private:
   index_t in_;

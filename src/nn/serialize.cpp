@@ -194,7 +194,6 @@ void PayloadWriter::raw(const void* p, std::size_t n) {
 
 void PayloadWriter::put_u64(std::uint64_t v) { raw(&v, sizeof(v)); }
 void PayloadWriter::put_f32(float v) { raw(&v, sizeof(v)); }
-void PayloadWriter::put_f64(double v) { raw(&v, sizeof(v)); }
 
 void PayloadWriter::put_string(const std::string& s) {
   put_u64(s.size());
@@ -228,20 +227,6 @@ float PayloadReader::get_f32() {
   float v = 0;
   raw(&v, sizeof(v));
   return v;
-}
-
-double PayloadReader::get_f64() {
-  double v = 0;
-  raw(&v, sizeof(v));
-  return v;
-}
-
-std::string PayloadReader::get_string() {
-  const std::uint64_t n = get_u64();
-  FASTCHG_CHECK(n < (1u << 20), "checkpoint: implausible string length");
-  std::string s(static_cast<std::size_t>(n), '\0');
-  raw(s.data(), s.size());
-  return s;
 }
 
 Tensor PayloadReader::get_tensor() {

@@ -48,7 +48,6 @@ class PayloadWriter {
  public:
   void put_u64(std::uint64_t v);
   void put_f32(float v);
-  void put_f64(double v);
   void put_string(const std::string& s);
   /// dim, sizes, then the float32 data.
   void put_tensor(const Tensor& t);
@@ -67,8 +66,6 @@ class PayloadReader {
 
   std::uint64_t get_u64();
   float get_f32();
-  double get_f64();
-  std::string get_string();
   Tensor get_tensor();
 
   /// True when every byte of the payload has been consumed.

@@ -19,10 +19,14 @@ std::vector<index_t> sample_workloads(const data::Dataset& ds) {
 
 namespace {
 
-/// Shuffled copy of `rows` chopped into global batches.
+/// Shuffled copy of `rows` chopped into global batches; the ragged final
+/// batch is dropped.
 std::vector<std::vector<index_t>> global_batches(
     const std::vector<index_t>& rows, const SamplerConfig& cfg) {
   FASTCHG_CHECK(cfg.num_devices > 0, "sampler: num_devices");
+  FASTCHG_CHECK(cfg.global_batch > 0,
+                "sampler: global batch " << cfg.global_batch
+                                         << " is not positive");
   FASTCHG_CHECK(cfg.global_batch % cfg.num_devices == 0,
                 "sampler: global batch " << cfg.global_batch
                                          << " not divisible by "
@@ -31,15 +35,9 @@ std::vector<std::vector<index_t>> global_batches(
   Rng rng(cfg.seed);
   rng.shuffle(order);
   std::vector<std::vector<index_t>> batches;
-  for (std::size_t lo = 0; lo < order.size();
-       lo += static_cast<std::size_t>(cfg.global_batch)) {
-    const std::size_t hi =
-        std::min(order.size(), lo + static_cast<std::size_t>(cfg.global_batch));
-    if (cfg.drop_last &&
-        hi - lo < static_cast<std::size_t>(cfg.global_batch)) {
-      break;
-    }
-    batches.emplace_back(order.begin() + lo, order.begin() + hi);
+  const std::size_t gb = static_cast<std::size_t>(cfg.global_batch);
+  for (std::size_t lo = 0; lo + gb <= order.size(); lo += gb) {
+    batches.emplace_back(order.begin() + lo, order.begin() + lo + gb);
   }
   return batches;
 }

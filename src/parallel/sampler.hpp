@@ -21,7 +21,6 @@ struct SamplerConfig {
   int num_devices = 4;
   index_t global_batch = 32;  ///< total samples per iteration
   std::uint64_t seed = 0;
-  bool drop_last = true;      ///< drop the ragged final global batch
 };
 
 /// iterations[i][d] = dataset rows assigned to device d at iteration i.

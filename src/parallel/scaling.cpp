@@ -1,12 +1,8 @@
 #include "parallel/scaling.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <utility>
-
-#include "perf/timer.hpp"
-#include "train/trainer.hpp"
 
 namespace fastchg::parallel {
 
@@ -27,100 +23,6 @@ double CostModel::shard_seconds(const data::Dataset& ds,
     angles += ds[r].graph.num_angles();
   }
   return predict(atoms, bonds, angles);
-}
-
-namespace {
-
-/// Solve the 4x4 system A x = b via Gaussian elimination w/ partial pivot.
-std::array<double, 4> solve4(std::array<std::array<double, 4>, 4> a,
-                             std::array<double, 4> b) {
-  for (int col = 0; col < 4; ++col) {
-    int pivot = col;
-    for (int r = col + 1; r < 4; ++r) {
-      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
-    }
-    std::swap(a[col], a[pivot]);
-    std::swap(b[col], b[pivot]);
-    FASTCHG_CHECK(std::fabs(a[col][col]) > 1e-30,
-                  "cost-model fit: singular normal equations");
-    for (int r = col + 1; r < 4; ++r) {
-      const double f = a[r][col] / a[col][col];
-      for (int c = col; c < 4; ++c) a[r][c] -= f * a[col][c];
-      b[r] -= f * b[col];
-    }
-  }
-  std::array<double, 4> x{};
-  for (int r = 3; r >= 0; --r) {
-    double acc = b[r];
-    for (int c = r + 1; c < 4; ++c) acc -= a[r][c] * x[c];
-    x[r] = acc / a[r][r];
-  }
-  return x;
-}
-
-}  // namespace
-
-CostModel fit_cost_model(const std::vector<CostSample>& samples) {
-  FASTCHG_CHECK(!samples.empty(), "cost-model fit: no samples");
-  std::array<std::array<double, 4>, 4> xtx{};
-  std::array<double, 4> xty{};
-  for (const CostSample& s : samples) {
-    const std::array<double, 4> feat = {
-        1.0, static_cast<double>(s.atoms), static_cast<double>(s.bonds),
-        static_cast<double>(s.angles)};
-    for (int i = 0; i < 4; ++i) {
-      for (int j = 0; j < 4; ++j) xtx[i][j] += feat[i] * feat[j];
-      xty[i] += feat[i] * s.seconds;
-    }
-  }
-  // Tikhonov damping keeps the fit stable when the sampled batch sizes give
-  // nearly collinear (atoms, bonds, angles) totals.
-  for (int i = 0; i < 4; ++i) xtx[i][i] += 1e-9;
-  const std::array<double, 4> x = solve4(xtx, xty);
-  CostModel cm;
-  cm.fixed = std::max(0.0, x[0]);
-  cm.per_atom = std::max(0.0, x[1]);
-  cm.per_bond = std::max(0.0, x[2]);
-  cm.per_angle = std::max(0.0, x[3]);
-  if (cm.per_atom > 0.0 || cm.per_bond > 0.0 || cm.per_angle > 0.0) {
-    return cm;
-  }
-  // Noise swamped the size signal (a busy host can time a small batch
-  // slower than a large one): charge the measured time per atom instead.
-  double t_atoms = 0.0, atoms_sq = 0.0;
-  for (const CostSample& s : samples) {
-    const double a = static_cast<double>(s.atoms);
-    t_atoms += s.seconds * a;
-    atoms_sq += a * a;
-  }
-  FASTCHG_CHECK(atoms_sq > 0.0 && t_atoms > 0.0,
-                "cost-model fit: no atoms or no measured time");
-  CostModel prop;
-  prop.per_atom = t_atoms / atoms_sq;
-  return prop;
-}
-
-CostModel calibrate_cost_model(const model::CHGNet& net,
-                               const data::Dataset& ds,
-                               const std::vector<index_t>& batch_sizes,
-                               int reps_per_size, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<CostSample> samples;
-  for (index_t bs : batch_sizes) {
-    for (int rep = 0; rep < reps_per_size; ++rep) {
-      std::vector<index_t> rows;
-      rows.reserve(static_cast<std::size_t>(bs));
-      for (index_t i = 0; i < bs; ++i) {
-        rows.push_back(rng.randint(0, ds.size() - 1));
-      }
-      data::Batch b = data::collate_indices(ds, rows);
-      perf::Timer t;
-      train::train_step(net, b);
-      samples.push_back(CostSample{b.num_atoms, b.num_edges, b.num_angles,
-                                   t.seconds()});
-    }
-  }
-  return fit_cost_model(samples);
 }
 
 namespace {
@@ -166,7 +68,7 @@ std::vector<ScalingPoint> simulate(const CostModel& cost,
       std::uint64_t max_bytes = 0;
       double sum = 0.0, sumsq = 0.0;
       for (std::size_t d = 0; d < shards.size(); ++d) {
-        const double c = cost.shard_seconds(ds, shards[d]) * cfg.compute_scale;
+        const double c = cost.shard_seconds(ds, shards[d]);
         sum += c;
         sumsq += c * c;
         compute[d] = c * straggler;

@@ -25,9 +25,9 @@ struct StepLoss {
   bool finite = true;
 };
 
-/// The step of both trainers and of the cost-model calibration: forward `b`
-/// in kTrain mode, chgnet_loss, and only on a finite loss, backward of
-/// `grad_scale * loss` onto the gradients.  The graph is gone on return.
+/// The step of both trainers: forward `b` in kTrain mode, chgnet_loss, and
+/// only on a finite loss, backward of `grad_scale * loss` onto the
+/// gradients.  The graph is gone on return.
 StepLoss train_step(const model::CHGNet& net, const data::Batch& b,
                     float grad_scale = 1.0f);
 

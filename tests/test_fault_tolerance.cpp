@@ -392,7 +392,7 @@ TEST(Elastic, KillOneOfEightMidEpochCompletesRebalanced) {
   EXPECT_GT(result.recovery_seconds, 0.0);
 
   // 2 iterations on 8 devices, then the 32 unconsumed rows re-shard into
-  // batches of 14 on 7 devices (drop_last drops the remainder 4).
+  // batches of 14 on 7 devices (the sampler drops the remainder 4).
   ASSERT_EQ(result.iterations.size(), 4u);
   EXPECT_EQ(result.iterations[0].num_alive, 8);
   EXPECT_EQ(result.iterations[1].num_alive, 8);

@@ -102,6 +102,9 @@ TEST(Sampler, IndivisibleBatchThrows) {
   cfg.num_devices = 3;
   cfg.global_batch = 16;  // not divisible by 3
   EXPECT_THROW(default_sharding(rows, loads, cfg), Error);
+  cfg.global_batch = 0;  // divisible, but would never advance through rows
+  EXPECT_THROW(default_sharding(rows, loads, cfg), Error);
+  EXPECT_THROW(load_balance_sharding(rows, loads, cfg), Error);
 }
 
 TEST(Sampler, DropLastRaggedBatch) {
@@ -527,57 +530,29 @@ TEST(DataParallel, LossDecreasesOverEpochs) {
 // scaling harness
 // ---------------------------------------------------------------------------
 
-TEST(Scaling, CostModelPredictsPositiveAndMonotone) {
-  data::Dataset ds = medium_dataset(32, 10);
-  model::CHGNet net(tiny_fast_config(), 51);
-  CostModel cm = calibrate_cost_model(net, ds, {2, 4, 8}, 2, 1);
-  const double small = cm.predict(10, 100, 200);
-  const double big = cm.predict(100, 1000, 2000);
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(big, small);
-}
-
-TEST(Scaling, FitRecoversAnExactLinearCost) {
-  CostModel want;
-  want.fixed = 2e-4;
-  want.per_atom = 1e-5;
-  want.per_bond = 3e-6;
-  want.per_angle = 5e-7;
-  std::vector<CostSample> samples;
-  for (index_t a = 4; a <= 64; a += 12) {
-    for (index_t b = 2 * a; b <= 12 * a; b += 5 * a) {
-      const index_t g = (a * b) % 97 + 3 * b;
-      samples.push_back(CostSample{a, b, g, want.predict(a, b, g)});
+// The Fig. 10 bench prices a shard at one shared cost per atom, bond and
+// angle: in units of that cost a shard costs exactly the load-balance
+// sampler's workload measure summed over its rows.
+TEST(Scaling, UnitPriceEqualsSamplerWorkload) {
+  data::Dataset ds = medium_dataset(64, 16);
+  const std::vector<index_t> loads = sample_workloads(ds);
+  CostModel unit;
+  unit.per_atom = unit.per_bond = unit.per_angle = 1.0;
+  Rng rng(17);
+  for (int rep = 0; rep < 8; ++rep) {
+    std::vector<index_t> rows;
+    index_t want = 0;
+    for (index_t i = 0; i < 1 + 5 * rep; ++i) {
+      rows.push_back(rng.randint(0, ds.size() - 1));
+      want += loads[static_cast<std::size_t>(rows.back())];
     }
+    EXPECT_EQ(unit.shard_seconds(ds, rows), static_cast<double>(want))
+        << "rep " << rep;
   }
-  const CostModel got = fit_cost_model(samples);
-  EXPECT_NEAR(got.fixed, want.fixed, 1e-3 * want.fixed);
-  EXPECT_NEAR(got.per_atom, want.per_atom, 1e-3 * want.per_atom);
-  EXPECT_NEAR(got.per_bond, want.per_bond, 1e-3 * want.per_bond);
-  EXPECT_NEAR(got.per_angle, want.per_angle, 1e-3 * want.per_angle);
-}
-
-// Timings that fall as batches grow (a busy host stalling the small ones)
-// clamp every size term to 0; the fit must still price work by its atoms.
-TEST(Scaling, FitWithoutSizeSignalStillScalesWithAtoms) {
-  std::vector<CostSample> samples;
-  for (index_t a = 8; a <= 64; a *= 2) {
-    samples.push_back(
-        CostSample{a, 10 * a, 30 * a, 1.0 / static_cast<double>(a)});
-  }
-  const CostModel cm = fit_cost_model(samples);
-  EXPECT_EQ(cm.fixed, 0.0);
-  EXPECT_EQ(cm.per_bond, 0.0);
-  EXPECT_EQ(cm.per_angle, 0.0);
-  // Least squares through the origin: sum(t * a) / sum(a^2).
-  EXPECT_NEAR(cm.per_atom, 4.0 / (64.0 + 256.0 + 1024.0 + 4096.0), 1e-15);
-  const double small = cm.predict(10, 100, 200);
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(cm.predict(100, 1000, 2000), small);
 }
 
 TEST(Scaling, StrongScalingShapeMatchesPaper) {
-  // With a calibrated-like cost model and the default comm parameters the
+  // With a compute-dominated cost model and the default comm parameters the
   // curve must show: monotone speedup, sub-linear efficiency, efficiency
   // decaying with P (paper: 82.5% at 8 -> 66% at 32).
   data::Dataset ds = medium_dataset(512, 11);

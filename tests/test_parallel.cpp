@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel_for.hpp"
 #include "golden_fixtures.hpp"
 #include "parallel/data_parallel.hpp"
 #include "parallel/scaling.hpp"
@@ -116,6 +117,25 @@ TEST(Sampler, DropLastRaggedBatch) {
   cfg.global_batch = 16;
   ShardPlan plan = default_sharding(rows, loads, cfg);
   EXPECT_EQ(plan.num_iterations(), 1);  // 20 -> one full batch, rest dropped
+}
+
+// Both samplers keep only full global batches: every kept iteration holds
+// global_batch distinct rows, num_devices shards of equal size.
+TEST(Sampler, LoadBalanceDropsRaggedBatch) {
+  data::Dataset ds = medium_dataset(20, 2);
+  auto rows = all_rows(ds);
+  auto loads = sample_workloads(ds);
+  SamplerConfig cfg;
+  cfg.num_devices = 2;
+  cfg.global_batch = 16;
+  ShardPlan plan = load_balance_sharding(rows, loads, cfg);
+  ASSERT_EQ(plan.num_iterations(), 1);  // 20 -> one full batch, rest dropped
+  std::set<index_t> seen;
+  for (const auto& shard : plan.iterations[0]) {
+    EXPECT_EQ(shard.size(), 8u);
+    seen.insert(shard.begin(), shard.end());
+  }
+  EXPECT_EQ(seen.size(), 16u);
 }
 
 TEST(Sampler, WorkloadsMatchGraphs) {
@@ -548,6 +568,45 @@ TEST(Scaling, UnitPriceEqualsSamplerWorkload) {
     }
     EXPECT_EQ(unit.shard_seconds(ds, rows), static_cast<double>(want))
         << "rep " << rep;
+  }
+}
+
+// Nothing in the simulator is timed: the same inputs give the same bits,
+// whatever the worker count, straggler jitter included.
+TEST(Scaling, SimulationIsRepeatableAcrossThreadCounts) {
+  data::Dataset ds = medium_dataset(256, 18);
+  CostModel unit;
+  unit.per_atom = unit.per_bond = unit.per_angle = 1e-5;
+  ScalingConfig cfg;
+  cfg.strong_global_batch = 128;
+  cfg.weak_per_device_batch = 8;
+  cfg.device_counts = {4, 8, 16};
+  const auto run = [&] {
+    auto pts = strong_scaling(unit, ds, 429046 * 4, cfg);
+    auto weak = weak_scaling(unit, ds, 429046 * 4, cfg);
+    pts.insert(pts.end(), weak.begin(), weak.end());
+    return pts;
+  };
+  const int original = num_threads();
+  set_num_threads(1);
+  const std::vector<ScalingPoint> serial = run();
+  set_num_threads(4);
+  const std::vector<ScalingPoint> threaded = run();
+  const std::vector<ScalingPoint> again = run();
+  set_num_threads(original);
+  ASSERT_EQ(serial.size(), 6u);
+  for (const auto* other : {&threaded, &again}) {
+    ASSERT_EQ(other->size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const ScalingPoint& a = serial[i];
+      const ScalingPoint& b = (*other)[i];
+      EXPECT_EQ(a.devices, b.devices) << i;
+      EXPECT_EQ(a.epoch_seconds, b.epoch_seconds) << i;
+      EXPECT_EQ(a.iter_seconds, b.iter_seconds) << i;
+      EXPECT_EQ(a.comm_fraction, b.comm_fraction) << i;
+      EXPECT_EQ(a.efficiency, b.efficiency) << i;
+      EXPECT_EQ(a.load_cov, b.load_cov) << i;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
 
 #include "autograd/ops.hpp"
 #include "core/parallel_for.hpp"
@@ -211,6 +212,41 @@ TEST(ParallelFor, SizeRuleKeepsSmallWorkInline) {
   set_num_threads(1);
   parallel_rows(kParallelMinWork, 1, count);
   EXPECT_EQ(perf::counters().snapshot().pool_dispatches, 0u);
+  set_num_threads(original);
+}
+
+TEST(ParallelFor, InlineRegionRunsOnCallerUntilItEnds) {
+  const int original = num_threads();
+  set_num_threads(4);
+  perf::counters().reset();
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  bool on_caller = true;
+  const auto body = [&](index_t lo, index_t hi) {
+    ++calls;
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    EXPECT_EQ(lo, 0);
+    EXPECT_EQ(hi, 4096);
+  };
+  {
+    InlineRegion outer;
+    {
+      InlineRegion nested;
+      parallel_for(0, 4096, 1, body);
+    }
+    parallel_for(0, 4096, 1, body);  // the outer region still holds
+  }
+  EXPECT_EQ(calls, 2);
+  EXPECT_TRUE(on_caller);
+  EXPECT_EQ(perf::counters().snapshot().pool_dispatches, 0u);
+  // Past the region the pool takes the range again, in chunks.
+  std::vector<int> hits(4096, 0);
+  parallel_for(0, 4096, 1, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+  });
+  EXPECT_EQ(perf::counters().snapshot().pool_dispatches, 1u);
+  for (int h : hits) EXPECT_EQ(h, 1);
+  perf::counters().reset();
   set_num_threads(original);
 }
 
